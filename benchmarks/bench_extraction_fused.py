@@ -1,15 +1,22 @@
 """Benchmark — fused single-pass metric extraction vs the seed path.
 
-Times the fused :meth:`SegmentMetricsExtractor._compute_features` (one top-2
-partition for V/M/pmax, one stacked-weights grouped bincount for all metric
-columns) against the retained ``_reference_compute_features`` seed
-implementation (one heatmap pass per dispersion measure, one bincount pass
-per metric column) on synthetic softmax fields with hundreds of segments.
-Bitwise parity of the full feature matrix — and of the assembled
-``MetricsDataset`` — is asserted on every run; full mode enforces the
-acceptance gate of the perf issue (fused >= 1.5x seed) via the exit code.
+Two timings per case, each with bitwise parity asserted on every run:
 
-Invocation (argmax + segment decomposition are not part of the timed region):
+* **features** — the fused :meth:`SegmentMetricsExtractor._compute_features`
+  (banded heatmaps, grouped per-segment reductions) against the retained
+  ``_reference_compute_features`` seed implementation (one heatmap pass per
+  dispersion measure, one bincount pass per metric column); argmax and the
+  segment decomposition are outside this timed region.  Full mode enforces
+  fused >= 1.5x seed via the exit code.
+* **extract_full** — the whole :meth:`SegmentMetricsExtractor.extract_full`
+  (banded front end: validation, argmax and heatmaps in one pass over row
+  bands shared with the helper lanes; boxed labelling; features) against the
+  serial seed composition ``check_probability_field`` → ``argmax`` →
+  ``extract_segments`` → ``_reference_compute_features``, and the same
+  ``extract_full`` with the helper lanes switched off (``one_lane``), which
+  separates the banding gain from the second lane's.
+
+Invocation:
 
     PYTHONPATH=src python benchmarks/bench_extraction_fused.py           # full
     PYTHONPATH=src python benchmarks/bench_extraction_fused.py --smoke   # CI
@@ -18,9 +25,11 @@ Invocation (argmax + segment decomposition are not part of the timed region):
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import time
 from typing import Callable, Dict, List
+from unittest import mock
 
 import numpy as np
 
@@ -29,6 +38,8 @@ from _bench_common import write_artifact, write_bench_json, write_trajectory_jso
 from repro.core.metrics import SegmentMetricsExtractor
 from repro.core.segments import extract_segments
 from repro.segmentation.labels import cityscapes_label_space
+from repro.utils import lanes
+from repro.utils.validation import check_probability_field
 
 #: (name, height, width, cell) benchmark cases; the cell size keeps each field
 #: at a few hundred predicted segments.
@@ -61,6 +72,19 @@ def _best_of(fn: Callable[[], object], repeats: int) -> float:
     return best
 
 
+def seed_extract_full(extractor: SegmentMetricsExtractor, probs: np.ndarray):
+    """The serial seed composition of ``extract_full`` (features, prediction)."""
+    probs = check_probability_field(probs)
+    labels = np.argmax(probs, axis=2).astype(np.int64)
+    prediction = extract_segments(labels, connectivity=extractor.connectivity)
+    return extractor._reference_compute_features(probs, prediction), prediction
+
+
+def one_lane():
+    """Context in which :func:`repro.utils.lanes.run_bands` gets no helpers."""
+    return mock.patch.object(lanes, "_helpers", lambda: (None, 0))
+
+
 def run_case(name: str, height: int, width: int, cell: int, repeats: int) -> Dict[str, object]:
     """Time seed vs fused extraction on one synthetic case and check parity."""
     label_space = cityscapes_label_space()
@@ -81,12 +105,27 @@ def run_case(name: str, height: int, width: int, cell: int, repeats: int) -> Dic
     ):
         raise AssertionError(f"{name}: extracted MetricsDataset diverges from the seed path")
 
+    seed_features, seed_prediction = seed_extract_full(extractor, probs)
+    for label, context in (("two-lane", contextlib.nullcontext()), ("one-lane", one_lane())):
+        with context:
+            full = extractor.extract_full(probs)
+        if not (
+            np.array_equal(full.dataset.features, seed_features)
+            and np.array_equal(full.prediction.components, seed_prediction.components)
+            and full.prediction.segments == seed_prediction.segments
+        ):
+            raise AssertionError(f"{name}: {label} extract_full diverges from the seed composition")
+
     reference_seconds = _best_of(
         lambda: extractor._reference_compute_features(probs, prediction), repeats
     )
     fused_seconds = _best_of(
         lambda: extractor._compute_features(probs, prediction), repeats
     )
+    seed_full_seconds = _best_of(lambda: seed_extract_full(extractor, probs), repeats)
+    full_seconds = _best_of(lambda: extractor.extract_full(probs), repeats)
+    with one_lane():
+        one_lane_seconds = _best_of(lambda: extractor.extract_full(probs), repeats)
     return {
         "case": name,
         "height": height,
@@ -96,6 +135,13 @@ def run_case(name: str, height: int, width: int, cell: int, repeats: int) -> Dic
         "reference_seconds": reference_seconds,
         "fused_seconds": fused_seconds,
         "speedup": reference_seconds / fused_seconds if fused_seconds > 0 else float("inf"),
+        "extract_full": {
+            "seed_seconds": seed_full_seconds,
+            "one_lane_seconds": one_lane_seconds,
+            "seconds": full_seconds,
+            "speedup": seed_full_seconds / full_seconds,
+            "one_lane_speedup": seed_full_seconds / one_lane_seconds,
+        },
     }
 
 
@@ -115,8 +161,17 @@ def run(smoke: bool = False) -> dict:
             f"fused {result['fused_seconds'] * 1e3:7.1f} ms  "
             f"speedup {result['speedup']:5.1f}x"
         )
+    rows.append("extract_full: serial seed composition vs banded front end (one / two lanes)")
+    for result in results:
+        full = result["extract_full"]
+        rows.append(
+            f"  {result['case']:<14s} seed {full['seed_seconds'] * 1e3:8.1f} ms  "
+            f"one lane {full['one_lane_seconds'] * 1e3:7.1f} ms  "
+            f"two lanes {full['seconds'] * 1e3:7.1f} ms  "
+            f"speedup {full['one_lane_speedup']:4.2f}x / {full['speedup']:4.2f}x"
+        )
     write_artifact("extraction_fused", rows)
-    payload = {"mode": "smoke" if smoke else "full", "cases": results}
+    payload = {"mode": "smoke" if smoke else "full", "lanes": lanes.lane_count(), "cases": results}
     write_bench_json("extraction_fused", payload)
     if not smoke:
         write_trajectory_json("extraction_fused", payload)

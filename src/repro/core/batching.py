@@ -14,7 +14,8 @@ module provides the common machinery for doing that in batches:
 
 Thread fan-out is safe for the simulated networks and the metric extractor:
 ``predict_probabilities`` derives its RNG from ``(master_seed, index)`` per
-call and the extractor's scratch caches are written idempotently.  NumPy
+call, the extractor's grid cache is written idempotently and its band work
+buffers are per thread.  NumPy
 releases the GIL inside the heavy array kernels, so threads give real
 parallelism without requiring the work items to be picklable.
 """

@@ -17,23 +17,40 @@ eq. (3)).  Following the MetaSeg construction ([16] of the paper) we compute:
 * context: the predicted class id, a thing/stuff flag and the normalised
   centroid position.
 
-The extractor is fully vectorised over segments **and** over metric columns:
-one top-2 partition of the softmax field yields V, M and the max-probability
-map at once (:func:`repro.core.heatmaps.fused_dispersion_heatmaps`), and all
-per-segment sums — dispersion heatmaps, pixel coordinates, max probability and
-every per-class mean probability — come from a single grouped reduction (one
-``np.bincount`` over ``component_id * n_columns + column`` codes with stacked
-weights) plus one such pass each for the interior and boundary restrictions;
-interior/boundary *counts* are derived by exact integer subtraction instead of
-masked re-bincounts.  The column-at-a-time seed implementation is retained
-verbatim as ``_reference_compute_features``; the fused path is bitwise-
-identical to it (``tests/test_core_metrics_dataset.py`` fuzzes the parity,
-``benchmarks/bench_extraction_fused.py`` gates the speedup).
+The extractor is fully vectorised over segments **and** over metric columns,
+in two stages:
+
+* **Front end** (:func:`repro.core.heatmaps.field_pass`): one pass over row
+  bands of the softmax field validates it, takes the argmax prediction and
+  computes the dispersion heatmaps and the max-probability map.  The bands
+  are shared between the calling thread and the process-wide helper lanes
+  of :mod:`repro.utils.lanes` (rebuilt after ``fork``); fields of at most
+  2 MiB stay one band on the caller.  Validation errors surface after the
+  pass with the messages and in the order of
+  :func:`~repro.utils.validation.check_probability_field`, before the class
+  count is compared with the label space.
+* **Aggregation** (:meth:`SegmentMetricsExtractor._compute_features`): all
+  per-segment sums — dispersion heatmaps over the whole segment, its
+  interior and its boundary, pixel coordinates and max probability — are
+  ``np.bincount`` reductions over the component image; interior/boundary
+  *counts* are derived by exact integer subtraction instead of masked
+  re-bincounts.  The per-class mean probabilities accumulate band by band
+  with unbuffered ``np.add.at`` over ``component_id * C + class`` codes.
+  The class sums and the bincount columns are two independent halves,
+  shared with a free helper lane like the bands of the front end.
+
+Parity: every sum adds the same values to the same bin in the same
+(pixel-major) order as the column-at-a-time seed implementation, which is
+retained verbatim as ``_reference_compute_features``; the fused path is
+bitwise-identical to it (``tests/test_core_metrics_dataset.py`` fuzzes the
+parity, ``tests/test_band_pass.py`` covers the band layouts, and
+``benchmarks/bench_extraction_fused.py`` times both stages).  Per-pixel
+reductions stay along the class axis; no reduction is split across bands
+and re-added, since a different summation order would change the bits.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -41,18 +58,28 @@ import numpy as np
 
 from repro.api.registry import METRIC_GROUPS as METRIC_GROUP_REGISTRY
 from repro.core.dataset import MetricsDataset
-from repro.core.heatmaps import (
+# ``fused_dispersion_heatmaps``, ``check_probability_field`` and
+# ``extract_segments`` stay importable from this module: the layer tracing of
+# ``perfbench/`` looks the extraction layers up here.
+from repro.core.heatmaps import (  # noqa: F401
+    FieldPass,
     _reference_dispersion_heatmaps,
-    dispersion_scratch,
+    band_rows,
+    field_pass,
     fused_dispersion_heatmaps,
 )
 from repro.core.segments import Segmentation, extract_segments, segment_ious
 from repro.segmentation.labels import LabelSpace, cityscapes_label_space
-from repro.utils.validation import check_label_map, check_probability_field, check_same_shape
+from repro.utils.lanes import run_bands
+from repro.utils.validation import (  # noqa: F401
+    check_label_map,
+    check_probability_field,
+    check_same_shape,
+)
 
 #: Named groups of metrics, usable to select feature subsets (ablations and
 #: the entropy-only baseline of Table I).
-METRIC_GROUPS: Dict[str, Sequence[str]] = {  # repro: allow[concurrency-shared-state] -- read-only after import (ablation name table)
+METRIC_GROUPS: Dict[str, Sequence[str]] = {
     "entropy_only": ("E_mean",),
     "dispersion": (
         "E_mean", "E_in_mean", "E_bd_mean", "E_rel", "E_rel_in",
@@ -108,11 +135,6 @@ class SegmentMetricsExtractor:
         # frames; video pipelines process thousands of equally-sized frames,
         # so the grids are allocated once per resolution instead of per frame.
         self._grid_cache: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
-        # Mutable (H, W, C) work buffers for the fused extraction, reused
-        # across frames of equal shape.  Unlike the read-only grids these are
-        # written on every call, so they live in thread-local storage — the
-        # batched extraction layer shares one extractor across a thread pool.
-        self._scratch = threading.local()
 
     def _pixel_grids(self, height: int, width: int) -> Tuple[np.ndarray, np.ndarray]:
         """Cached (row, col) coordinate grids for a frame shape."""
@@ -125,38 +147,15 @@ class SegmentMetricsExtractor:
                 indexing="ij",
             )
             grids = (rows_grid, cols_grid)
-            self._grid_cache[key] = grids  # repro: allow[concurrency-shared-state] -- idempotent per-key write; racing threads store identical grids
+            # Idempotent per-key write: racing threads store identical grids.
+            self._grid_cache[key] = grids
         return grids
 
-    def _thread_scratch(self, height: int, width: int, n_classes: int):
-        """This thread's reusable fused-extraction buffers for a field shape.
-
-        Returns ``(dispersion_scratch, class_codes_buffer)``.  Only the most
-        recent shape is retained per thread, which bounds the footprint to
-        one working set while still serving the frame-after-frame video case.
-        """
-        shape = (height, width, n_classes)
-        state = getattr(self._scratch, "state", None)
-        if state is None or state[0] != shape:
-            state = (
-                shape,
-                dispersion_scratch(shape),
-                np.empty((height * width, n_classes), dtype=np.int64),
-            )
-            self._scratch.state = state
-        return state[1], state[2]
-
     def __getstate__(self):
-        """Drop unpicklable / bulky per-thread scratch state when pickled."""
+        """Drop the bulky per-shape grid cache when pickled."""
         state = self.__dict__.copy()
-        state["_scratch"] = None
         state["_grid_cache"] = {}
         return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._grid_cache = {}
-        self._scratch = threading.local()
 
     # ------------------------------------------------------------------ ---
     def feature_names(self) -> List[str]:
@@ -195,15 +194,21 @@ class SegmentMetricsExtractor:
         gt_labels: Optional[np.ndarray] = None,
         image_id: str = "image",
     ) -> ImageMetrics:
-        """Like :meth:`extract` but also return the segment decompositions."""
-        probs = check_probability_field(probs)
+        """Like :meth:`extract` but also return the segment decompositions.
+
+        The front end is one banded :func:`~repro.core.heatmaps.field_pass`:
+        validation, the argmax prediction and every dispersion heatmap come
+        out of a single read of the softmax field, with the same errors in
+        the same order as a whole-field :func:`check_probability_field`.
+        """
+        front = field_pass(probs)
+        probs = front.field
         if probs.shape[2] != self.label_space.n_classes:
             raise ValueError(
                 f"probability field has {probs.shape[2]} classes, "
                 f"label space has {self.label_space.n_classes}"
             )
-        predicted_labels = np.argmax(probs, axis=2).astype(np.int64)
-        prediction = extract_segments(predicted_labels, connectivity=self.connectivity)
+        prediction = extract_segments(front.labels, connectivity=self.connectivity)
         ground_truth = None
         iou: Optional[np.ndarray] = None
         if gt_labels is not None:
@@ -215,7 +220,7 @@ class SegmentMetricsExtractor:
             iou_map = segment_ious(prediction, ground_truth, ignore_id=self.ignore_id)
             iou = np.array([iou_map[sid] for sid in prediction.segment_ids()], dtype=np.float64)
 
-        features = self._compute_features(probs, prediction)
+        features = self._compute_features(probs, prediction, front)
         segment_ids = np.array(prediction.segment_ids(), dtype=np.int64)
         class_ids = np.array(
             [prediction.segments[sid].class_id for sid in prediction.segment_ids()], dtype=np.int64
@@ -231,14 +236,22 @@ class SegmentMetricsExtractor:
         return ImageMetrics(dataset=dataset, prediction=prediction, ground_truth=ground_truth)
 
     # ------------------------------------------------------------------ ---
-    def _compute_features(self, probs: np.ndarray, prediction: Segmentation) -> np.ndarray:
+    def _compute_features(
+        self,
+        probs: np.ndarray,
+        prediction: Segmentation,
+        front: Optional[FieldPass] = None,
+    ) -> np.ndarray:
         """Fused single-pass aggregation of all segment metrics.
 
-        Bitwise-identical to :meth:`_reference_compute_features` (the seed
-        column-at-a-time path): the stacked-weights ``np.bincount`` adds the
-        same weights to the same bins in the same (pixel-major) order as the
-        seed's one-bincount-per-column loop, and the interior/boundary counts
-        it derives by subtraction are exact in float64.
+        ``front`` carries the heatmaps of an earlier :func:`field_pass` over
+        ``probs`` (as in :meth:`extract_full`); without it they are computed
+        here, unvalidated.  Bitwise-identical to
+        :meth:`_reference_compute_features` (the seed column-at-a-time path):
+        every reduction adds the same weights to the same bins in the same
+        (pixel-major) order as the seed's one-bincount-per-column loop, and
+        the interior/boundary counts it derives by subtraction are exact in
+        float64.
         """
         components = prediction.components
         n_segments = prediction.n_segments
@@ -259,13 +272,9 @@ class SegmentMetricsExtractor:
         # the boundary pixels.
         sizes_bd = sizes - sizes_in
 
-        # probs is already validated by extract_full; one partition feeds V,
-        # M and pmax, one log pass feeds E, and the (H, W, C) work buffers
-        # are reused across equally-shaped frames.
-        heatmap_scratch, class_codes = self._thread_scratch(height, width, n_classes)
-        heatmaps, pmax = fused_dispersion_heatmaps(
-            probs, validate=False, scratch=heatmap_scratch
-        )
+        if front is None:
+            front = field_pass(probs, validate=False, labels=False)
+        heatmaps, pmax = front.heatmaps, front.pmax
 
         def _mean(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
             """Per-segment mean from precomputed sums and counts."""
@@ -276,11 +285,49 @@ class SegmentMetricsExtractor:
             """Per-segment sum of an already-flat full-image value array."""
             return np.bincount(flat_components, weights=values_flat, minlength=n_bins)
 
-        # The three interior/boundary-restricted dispersion reductions reuse
-        # the hoisted component selections and the exact counts derived above
-        # (the seed path re-extracts mask-selected components and re-counts
-        # them for every heatmap).
         rows_grid, cols_grid = self._pixel_grids(height, width)
+        sums: Dict[str, np.ndarray] = {}
+
+        def column_sums() -> None:
+            # The three interior/boundary-restricted dispersion reductions
+            # reuse the hoisted component selections and the exact counts
+            # derived above (the seed path re-extracts mask-selected
+            # components and re-counts them for every heatmap).
+            for key in ("E", "M", "V"):
+                heatmap_flat = heatmaps[key].ravel()
+                sums[key] = _sum(heatmap_flat)
+                sums[key + "_in"] = np.bincount(
+                    components_interior, weights=heatmap_flat[interior_flat], minlength=n_bins
+                )
+                sums[key + "_bd"] = np.bincount(
+                    components_boundary, weights=heatmap_flat[boundary_flat], minlength=n_bins
+                )
+            sums["rows"] = _sum(rows_grid.ravel())
+            sums["cols"] = _sum(cols_grid.ravel())
+            sums["pmax"] = _sum(pmax.ravel())
+
+        def class_sums() -> None:
+            # Per-class probability sums, accumulated band by band with
+            # unbuffered ``np.add.at`` over codes component_id * C + class:
+            # per bin the additions run in the same pixel order as the
+            # seed's per-class bincount, while the codes and the field rows
+            # of one band stay cache-resident (no (H*W, C) code array).
+            accumulator = np.zeros(n_bins * n_classes)
+            class_offsets = np.arange(n_classes, dtype=np.int64)
+            field_rows = probs.reshape(height * width, n_classes)
+            step = band_rows(height, width, n_classes) * width
+            for start in range(0, height * width, step):
+                stop = min(start + step, height * width)
+                codes = np.add(
+                    (flat_components[start:stop] * n_classes)[:, None], class_offsets[None, :]
+                )
+                np.add.at(accumulator, codes.ravel(), field_rows[start:stop].ravel())
+            sums["class"] = accumulator.reshape(n_bins, n_classes)
+
+        # Two independent halves: the caller runs one, a free helper lane
+        # (if any) the other.
+        halves = (class_sums, column_sums)
+        run_bands(len(halves), lambda index: halves[index]())
 
         columns: List[np.ndarray] = []
         # geometry ------------------------------------------------------------
@@ -292,24 +339,9 @@ class SegmentMetricsExtractor:
         columns.append(sizes_in / safe_bd)          # S_rel_in
         # dispersion ----------------------------------------------------------
         for key in ("E", "M", "V"):
-            heatmap_flat = heatmaps[key].ravel()
-            mean_all = _mean(_sum(heatmap_flat), sizes)
-            mean_in = _mean(
-                np.bincount(
-                    components_interior,
-                    weights=heatmap_flat[interior_flat],
-                    minlength=n_bins,
-                ),
-                sizes_in,
-            )
-            mean_bd = _mean(
-                np.bincount(
-                    components_boundary,
-                    weights=heatmap_flat[boundary_flat],
-                    minlength=n_bins,
-                ),
-                sizes_bd,
-            )
+            mean_all = _mean(sums[key], sizes)
+            mean_in = _mean(sums[key + "_in"], sizes_in)
+            mean_bd = _mean(sums[key + "_bd"], sizes_bd)
             columns.append(mean_all)                               # D_mean
             columns.append(mean_in)                                # D_in_mean
             columns.append(mean_bd)                                # D_bd_mean
@@ -324,27 +356,12 @@ class SegmentMetricsExtractor:
             is_thing[sid] = 1.0 if info.class_id in thing_ids else 0.0
         columns.append(class_per_segment)
         columns.append(is_thing)
-        columns.append(_mean(_sum(rows_grid.ravel()), sizes) / max(1, height - 1))
-        columns.append(_mean(_sum(cols_grid.ravel()), sizes) / max(1, width - 1))
-        columns.append(_mean(_sum(pmax.ravel()), sizes))            # pmax_mean
+        columns.append(_mean(sums["rows"], sizes) / max(1, height - 1))
+        columns.append(_mean(sums["cols"], sizes) / max(1, width - 1))
+        columns.append(_mean(sums["pmax"], sizes))                  # pmax_mean
         # per-class mean probabilities -----------------------------------------
-        # One grouped reduction (codes = component_id * C + class) over the
-        # softmax field itself replaces the seed's per-class strided-slice
-        # copy + bincount passes; the raveled field is the weight vector with
-        # zero copies, and per bin the additions happen in the same pixel
-        # order as the seed's per-column bincount.
-        np.add(
-            (flat_components * n_classes)[:, None],
-            np.arange(n_classes, dtype=np.int64)[None, :],
-            out=class_codes,
-        )
-        class_sums = np.bincount(
-            class_codes.ravel(),
-            weights=np.ascontiguousarray(probs).ravel(),
-            minlength=n_bins * n_classes,
-        ).reshape(n_bins, n_classes)
         for class_index in range(n_classes):
-            columns.append(_mean(class_sums[:, class_index], sizes))
+            columns.append(_mean(sums["class"][:, class_index], sizes))
 
         matrix = np.stack(columns, axis=1)
         # Drop the background bin 0; segments are 1..n.

@@ -21,9 +21,11 @@ request must never produce a stack trace on the wire.  Numerical validation
 
 from __future__ import annotations
 
+import ast
 import io
 import json
-import zipfile
+import math
+import struct
 from typing import List, Tuple
 
 import numpy as np
@@ -51,20 +53,90 @@ def _check_frame(name: str, array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _parse_npy(body: bytes, image_id: str) -> List[Tuple[str, np.ndarray]]:
+#: npy format versions: header-length field and header encoding.
+_NPY_VERSIONS = {  # repro: allow[concurrency-shared-state] -- read-only after import (format table)
+    (1, 0): ("<H", "latin1"),
+    (2, 0): ("<I", "latin1"),
+    (3, 0): ("<I", "utf8"),
+}
+#: Largest header accepted, as in ``np.load`` (``max_header_size``).
+_NPY_MAX_HEADER = 10000
+
+
+def _bad_npy(detail: str) -> RequestError:
+    return RequestError(400, "bad_payload", f"could not decode npy payload: {detail}")
+
+
+def decode_npy(body: bytes) -> np.ndarray:
+    """Zero-copy ``.npy`` decoding: a read-only array over ``body`` itself.
+
+    Makes every check of ``np.load(allow_pickle=False)`` — magic string and
+    format version (1.0–3.0), header size and syntax, header keys, shape,
+    ``fortran_order`` flag, dtype descriptor, no object dtypes — plus an
+    exact length check: the body must hold exactly the bytes the header's
+    shape and dtype call for, so truncated *and* trailing bytes are
+    rejected.  Python-2 era headers with ``L``-suffixed integers, which
+    ``np.load`` repairs, are rejected too.  Fortran-order
+    and non-native byte-order payloads decode to the same array ``np.load``
+    returns.  Every failure is a :class:`RequestError` ``bad_payload``.
+    """
+    if len(body) < 8 or body[:6] != b"\x93NUMPY":
+        raise _bad_npy("the magic string is not correct")
+    version = (body[6], body[7])
+    if version not in _NPY_VERSIONS:
+        raise _bad_npy(f"unsupported format version {version}")
+    length_format, encoding = _NPY_VERSIONS[version]
+    start = 8 + struct.calcsize(length_format)
+    if len(body) < start:
+        raise _bad_npy("truncated header")
+    (header_length,) = struct.unpack_from(length_format, body, 8)
+    stop = start + header_length
+    if len(body) < stop:
+        raise _bad_npy("truncated header")
+    if header_length > _NPY_MAX_HEADER:
+        raise _bad_npy(f"header of {header_length} bytes is too large")
     try:
-        array = np.load(io.BytesIO(body), allow_pickle=False)
+        header = ast.literal_eval(body[start:stop].decode(encoding))
+    except Exception as exc:  # SyntaxError, ValueError, UnicodeDecodeError, ...
+        raise _bad_npy(f"cannot parse header: {exc}") from None
+    if not isinstance(header, dict) or set(header) != {"descr", "fortran_order", "shape"}:
+        raise _bad_npy("header must be a dict with keys descr, fortran_order and shape")
+    shape, fortran_order = header["shape"], header["fortran_order"]
+    if not isinstance(shape, tuple) or not all(
+        isinstance(dim, int) and not isinstance(dim, bool) and dim >= 0 for dim in shape
+    ):
+        raise _bad_npy(f"shape is not valid: {shape!r}")
+    if not isinstance(fortran_order, bool):
+        raise _bad_npy(f"fortran_order is not a valid bool: {fortran_order!r}")
+    try:
+        dtype = np.lib.format.descr_to_dtype(header["descr"])
     except Exception as exc:
-        raise RequestError(
-            400, "bad_payload", f"could not decode npy payload: {exc}"
-        ) from None
-    return [(image_id, _check_frame(image_id, array))]
+        raise _bad_npy(f"descr is not a valid dtype descriptor: {exc}") from None
+    if dtype.hasobject:
+        raise _bad_npy("object arrays are not accepted")
+    count = math.prod(shape)
+    expected = count * dtype.itemsize
+    if len(body) - stop != expected:
+        raise _bad_npy(
+            f"header describes {expected} data bytes, body carries {len(body) - stop}"
+        )
+    try:
+        array = np.frombuffer(body, dtype=dtype, count=count, offset=stop)
+        if fortran_order:
+            return array.reshape(shape[::-1]).transpose()
+        return array.reshape(shape)
+    except Exception as exc:  # e.g. zero-sized dtypes
+        raise _bad_npy(str(exc)) from None
+
+
+def _parse_npy(body: bytes, image_id: str) -> List[Tuple[str, np.ndarray]]:
+    return [(image_id, _check_frame(image_id, decode_npy(body)))]
 
 
 def _parse_npz(body: bytes) -> List[Tuple[str, np.ndarray]]:
     try:
         archive = np.load(io.BytesIO(body), allow_pickle=False)
-    except (zipfile.BadZipFile, OSError, ValueError) as exc:
+    except Exception as exc:  # BadZipFile, OSError, ValueError, EOFError, ...
         raise RequestError(
             400, "bad_payload", f"could not decode npz payload: {exc}"
         ) from None
@@ -72,7 +144,15 @@ def _parse_npz(body: bytes) -> List[Tuple[str, np.ndarray]]:
         raise RequestError(400, "bad_payload", "expected an npz archive, got a bare array")
     frames: List[Tuple[str, np.ndarray]] = []
     for name in archive.files:
-        frames.append((name, _check_frame(name, archive[name])))
+        # Members decode lazily: a damaged member surfaces here, as any of
+        # BadZipFile, EOFError, NotImplementedError, ValueError, ...
+        try:
+            array = archive[name]
+        except Exception as exc:
+            raise RequestError(
+                400, "bad_payload", f"could not decode npz member {name!r}: {exc}"
+            ) from None
+        frames.append((name, _check_frame(name, array)))
     if not frames:
         raise RequestError(400, "bad_payload", "npz archive contains no frames")
     return frames
@@ -136,4 +216,4 @@ def parse_score_request(
     )
 
 
-__all__ = ["RequestError", "parse_score_request"]
+__all__ = ["RequestError", "decode_npy", "parse_score_request"]

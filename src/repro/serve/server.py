@@ -23,8 +23,10 @@ in the ``X-Request-Id`` response header and in every structured error
 body, so client logs correlate with server traces.  The metrics registry
 is private to the server instance (pass a shared one to aggregate).
 
-Worker threads are long-lived, so the extractor's thread-local ``(H, W, C)``
-scratch buffers stay warm across the requests each worker serves.
+Worker threads are long-lived, so each one's band-sized extraction work
+buffers (:mod:`repro.core.heatmaps`) stay warm across the requests it
+serves; the bands of one request are shared with the process-wide helper
+lanes of :mod:`repro.utils.lanes`.
 """
 
 from __future__ import annotations

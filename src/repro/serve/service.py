@@ -2,10 +2,11 @@
 
 The service owns the model and one shared
 :class:`~repro.core.metrics.SegmentMetricsExtractor` built at startup, so
-the schema-drift check runs once and the extractor's per-thread ``(H, W, C)``
-scratch buffers stay warm across requests — a worker thread that has scored
-one frame of a given resolution re-uses its buffers for every following
-frame of that resolution.
+the schema-drift check runs once per server, not once per request.  The
+extractor holds no per-request state: each worker thread's extraction reads
+the softmax field band by band through the process-wide helper lanes of
+:mod:`repro.utils.lanes`, so concurrent requests share the cores instead of
+each keeping its own full-field work space.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ class ScoringService:
 
     def __init__(self, model: FittedModel) -> None:
         self.model = model
-        # Built once: validates the feature schema and keeps the extractor's
-        # thread-local scratch warm across requests.
+        # Built once: validates the feature schema.
         self.extractor = model.build_extractor()
 
     def info(self) -> Dict[str, object]:

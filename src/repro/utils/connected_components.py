@@ -106,7 +106,35 @@ def _label_unionfind(labels: np.ndarray, connectivity: int, background: int) -> 
     return components.reshape(h, w)
 
 
+def _class_boxes(labels: np.ndarray):
+    """``(value, (rows, cols))`` bounding box of every value in ``labels``.
+
+    One ``find_objects`` pass over the label map shifted to ``1..span`` when
+    the values are dense, or over its ``np.unique`` inverse when they are
+    sparse (say {-1, 0, 10**6}, where a shifted map would ask for a million
+    empty slots).  Values come out in ascending order.
+    """
+    low, high = int(labels.min()), int(labels.max())
+    span = high - low + 1
+    if span <= 4 * labels.size:
+        dense = labels - (low - 1)
+        values = np.arange(low, high + 1)
+    else:
+        values, inverse = np.unique(labels, return_inverse=True)
+        dense = inverse.reshape(labels.shape) + 1
+    for value, box in zip(values, _ndimage.find_objects(dense, max_label=values.size)):
+        if box is not None:
+            yield int(value), box
+
+
 def _label_scipy(labels: np.ndarray, connectivity: int, background: int) -> np.ndarray:
+    """Per-class ``ndimage.label``, each inside that class's bounding box.
+
+    A component never leaves its class's bounding box, so labelling the box
+    gives the same partition as labelling the whole image at a fraction of
+    the pixels; ids are renormalised to scan order afterwards, so only the
+    partition matters.
+    """
     structure = (
         np.ones((3, 3), dtype=bool)
         if connectivity == 8
@@ -114,13 +142,12 @@ def _label_scipy(labels: np.ndarray, connectivity: int, background: int) -> np.n
     )
     components = np.zeros(labels.shape, dtype=np.int64)
     offset = 0
-    values = np.unique(labels)
-    for value in values:
+    for value, box in _class_boxes(labels):
         if value == background:
             continue
-        mask = labels == value
+        mask = labels[box] == value
         labelled, count = _ndimage.label(mask, structure=structure)
-        components[mask] = labelled[mask] + offset
+        components[box][mask] = labelled[mask] + offset
         offset += int(count)
     return components
 

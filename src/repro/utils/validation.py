@@ -37,8 +37,13 @@ def check_label_map(labels: np.ndarray, name: str = "labels") -> np.ndarray:
     return arr
 
 
+#: Default tolerance of :func:`check_probability_field` (negative entries and
+#: row-sum deviations).
+PROBABILITY_TOL = 1e-4
+
+
 def check_probability_field(
-    probs: np.ndarray, name: str = "probs", tol: float = 1e-4
+    probs: np.ndarray, name: str = "probs", tol: float = PROBABILITY_TOL
 ) -> np.ndarray:
     """Validate an (H, W, C) per-pixel class probability field.
 
@@ -46,19 +51,35 @@ def check_probability_field(
     *tol*.  Returns the field as ``float64``.
     """
     arr = np.asarray(probs, dtype=np.float64)
+    check_field_shape(arr, name)
+    check_field_terms(bool(np.any(arr < -tol)), arr.sum(axis=2), name, tol)
+    return arr
+
+
+def check_field_shape(arr: np.ndarray, name: str = "probs") -> None:
+    """The shape half of :func:`check_probability_field`: (H, W, C), C >= 2."""
     if arr.ndim != 3:
         raise ValueError(f"{name} must be 3-D (H, W, C), got shape {arr.shape}")
     if arr.shape[2] < 2:
         raise ValueError(f"{name} needs at least 2 classes, got {arr.shape[2]}")
-    if np.any(arr < -tol):
+
+
+def check_field_terms(
+    any_negative: bool, sums: np.ndarray, name: str = "probs", tol: float = PROBABILITY_TOL
+) -> None:
+    """The value half of :func:`check_probability_field`.
+
+    Takes the field's reduced terms — whether any entry lies below ``-tol``
+    and the (H, W) per-pixel class sums — so a caller that reduces the field
+    band by band raises exactly the errors of a whole-field check.
+    """
+    if any_negative:
         raise ValueError(f"{name} contains negative probabilities")
-    sums = arr.sum(axis=2)
     if not np.allclose(sums, 1.0, atol=max(tol, 1e-4)):
         bad = float(np.abs(sums - 1.0).max())
         raise ValueError(
             f"{name} rows must sum to 1 (max deviation {bad:.2e} exceeds tolerance)"
         )
-    return arr
 
 
 def check_same_shape(

@@ -89,6 +89,60 @@ class TestConnectedComponents:
         assert np.all(components == 0)
 
 
+def _assert_engines_agree(labels, background=-1):
+    for connectivity in (4, 8):
+        scipy_out, scipy_count = connected_components(
+            labels, connectivity=connectivity, background=background, engine="scipy"
+        )
+        uf_out, uf_count = connected_components(
+            labels, connectivity=connectivity, background=background, engine="unionfind"
+        )
+        assert scipy_count == uf_count
+        np.testing.assert_array_equal(scipy_out, uf_out)
+
+
+class TestBoxedLabellingEdgeCases:
+    """The per-class bounding-box labelling against union-find."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sparse_label_values(self, seed):
+        # {-1, 0, 10**6}: the shifted map would need a million empty slots.
+        rng = np.random.default_rng(seed)
+        labels = rng.choice(np.array([-1, 0, 10**6]), size=(23, 17))
+        _assert_engines_agree(labels)
+        _assert_engines_agree(labels, background=10**6)
+
+    def test_large_but_dense_value_range(self):
+        rng = np.random.default_rng(5)
+        labels = rng.choice(np.array([-1, 3, 700, 1500]), size=(20, 20))
+        _assert_engines_agree(labels)
+
+    def test_single_class(self):
+        _assert_engines_agree(np.full((6, 9), 4))
+
+    def test_single_class_with_background_holes(self):
+        labels = np.full((7, 7), 2)
+        labels[::2, 3] = -1
+        labels[3, :] = -1
+        _assert_engines_agree(labels)
+
+    def test_all_background_both_engines(self):
+        _assert_engines_agree(np.full((5, 3), -1))
+        _assert_engines_agree(np.full((5, 3), 7), background=7)
+
+    @pytest.mark.parametrize("shape", [(1, 31), (31, 1), (1, 1)])
+    def test_thin_maps(self, shape):
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        _assert_engines_agree(rng.integers(-1, 3, size=shape))
+
+    def test_nested_class_boxes(self):
+        # A ring of class 1 around class 2 around class 1 again: boxes overlap.
+        labels = np.ones((9, 9), dtype=int)
+        labels[2:7, 2:7] = 2
+        labels[4, 4] = 1
+        _assert_engines_agree(labels)
+
+
 class TestComponentSizes:
     def test_sizes_sum_to_pixels(self):
         labels = np.array([[0, 0, 1], [0, 1, 1]])
