@@ -49,6 +49,7 @@ from repro.api.config import (
 )
 from repro.api.runner import ExperimentReport, Runner
 from repro.dispatch import FAULTS_ENV, FaultPlan
+from repro.utils.lanes import lane_count
 
 #: Required speedup of the distributed path at the full worker count.
 MIN_SPEEDUP = 2.0
@@ -137,7 +138,7 @@ def run(smoke: bool = False) -> dict:
     distributed_seconds = best_of(lambda: runner.run(distributed_config), repeats)
     speedup = serial_seconds / distributed_seconds
 
-    n_cpus = os.cpu_count() or 1
+    n_cpus = lane_count()
     if smoke:
         gate = "skipped (smoke mode: parity + fault recovery only)"
         enforce_speedup = False

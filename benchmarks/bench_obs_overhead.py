@@ -40,6 +40,7 @@ from _bench_common import (
 )
 
 from repro.api.config import DataConfig, EvalConfig, ExperimentConfig
+from repro.api.kinds import build_metaseg_pipeline
 from repro.api.registry import EXECUTION_BACKENDS
 from repro.api.runner import Runner
 from repro.obs import NULL_TRACER, Tracer
@@ -78,11 +79,10 @@ def run_baseline(config: ExperimentConfig) -> Tuple[object, Dict[str, float]]:
         with _timer(timings, "resolve"):
             resolved = runner.resolve(config)
             backend = EXECUTION_BACKENDS.get(config.execution.backend)(config.execution)
-        pipeline = runner.build_metaseg_pipeline(resolved)
         with _timer(timings, "extract"):
-            metrics, _ = backend.extract_metaseg(runner, resolved, pipeline)
+            metrics, _ = backend.extract_metaseg(resolved)
         with _timer(timings, "evaluate"):
-            result = pipeline.run_table1_protocol(
+            result = build_metaseg_pipeline(resolved).run_table1_protocol(
                 metrics,
                 n_runs=config.evaluation.n_runs,
                 train_fraction=config.evaluation.train_fraction,

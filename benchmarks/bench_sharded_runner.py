@@ -5,14 +5,15 @@ The ``process`` execution backend shards the workload's index range across a
 and the derived seeds, so the merged result is **bitwise identical** to the
 serial path.  This bench:
 
-1. asserts that bitwise parity on a metaseg workload (process backend *and*
-   the streaming aggregation path) — always a hard gate;
+1. asserts that bitwise parity on a metaseg workload (process *and* thread
+   backends) — always a hard gate;
 2. times the serial and sharded paths end to end and records the speedup in
    ``benchmarks/artifacts/BENCH_sharded_runner.json``.
 
 The speedup gate (>= 2x at 4 workers, enforced through the exit code) only
-engages when the machine actually has at least as many CPU cores as
-requested shards: a process pool cannot beat serial execution on a
+engages when this process may run on at least as many CPU cores as
+requested shards (``repro.utils.lanes.lane_count``, which honours the
+affinity mask): a process pool cannot beat serial execution on a
 single-core container, and pretending otherwise would just teach people to
 ignore the gate.  Whether the gate was enforced or skipped — and why — is
 recorded in the artifact.
@@ -26,7 +27,6 @@ Invocation:
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from typing import List
@@ -40,6 +40,7 @@ from repro.api.config import (
     ExperimentConfig,
 )
 from repro.api.runner import ExperimentReport, Runner
+from repro.utils.lanes import lane_count
 
 #: Required speedup of the sharded path at the full worker count.
 MIN_SPEEDUP = 2.0
@@ -87,21 +88,21 @@ def run(smoke: bool = False) -> dict:
     sharded_config = make_config(
         smoke, ExecutionConfig(backend="process", workers=workers)
     )
-    streaming_config = make_config(
-        smoke, ExecutionConfig(backend="serial", streaming=True)
+    thread_config = make_config(
+        smoke, ExecutionConfig(backend="thread", workers=workers)
     )
 
     # Parity first (also warms every path before the timing runs).
     serial_report = runner.run(serial_config)
     check_parity(serial_report, runner.run(sharded_config), f"process@{workers}")
-    check_parity(serial_report, runner.run(streaming_config), "streaming")
+    check_parity(serial_report, runner.run(thread_config), f"thread@{workers}")
 
     repeats = 2 if smoke else 3
     serial_seconds = best_of(lambda: runner.run(serial_config), repeats)
     sharded_seconds = best_of(lambda: runner.run(sharded_config), repeats)
     speedup = serial_seconds / sharded_seconds
 
-    n_cpus = os.cpu_count() or 1
+    n_cpus = lane_count()
     if smoke:
         gate = "skipped (smoke mode: parity only)"
         enforce_speedup = False
@@ -129,14 +130,14 @@ def run(smoke: bool = False) -> dict:
                 "serial_seconds": serial_seconds,
                 "sharded_seconds": sharded_seconds,
                 "speedup": speedup,
-                "parity": "bitwise (process + streaming vs serial)",
+                "parity": "bitwise (process + thread vs serial)",
             }
         ],
     }
     rows = [
         f"Sharded process-pool Runner backend vs serial ({config.data.n_val} images "
         f"at {config.data.height}x{config.data.width}, {workers} workers, {n_cpus} CPU core(s))",
-        "  parity   process + streaming bitwise-equal to serial: OK",
+        "  parity   process + thread bitwise-equal to serial: OK",
         f"  serial   {serial_seconds * 1e3:8.1f} ms",
         f"  sharded  {sharded_seconds * 1e3:8.1f} ms",
         f"  speedup  {speedup:6.2f}x  (gate: {gate})",

@@ -64,26 +64,32 @@ PYTHONPATH="${REPO_ROOT}/benchmarks:${PYTHONPATH}" \
 echo "=== dispatch fault-injection suite ==="
 python -m pytest -q -m faults tests/test_dispatch_faults.py
 
-echo "=== distributed CLI (smoke: work queue, then kill-one-worker parity) ==="
-DIST_SERIAL_OUT="${TMP_ROOT}/dist_serial.json"
-DIST_HEALTHY_OUT="${TMP_ROOT}/dist_healthy.json"
-DIST_FAULTED_OUT="${TMP_ROOT}/dist_faulted.json"
-python -m repro run examples/configs/metaseg_small.json --output "${DIST_SERIAL_OUT}"
-python -m repro run examples/configs/metaseg_small.json \
-    --backend distributed --workers 2 --output "${DIST_HEALTHY_OUT}"
+echo "=== transport parity CLI (smoke: every transport, then kill-one-worker) ==="
+PARITY_DIR="${TMP_ROOT}/transport-parity"
+mkdir -p "${PARITY_DIR}"
+python -m repro run examples/configs/metaseg_small.json --backend serial \
+    --output "${PARITY_DIR}/serial.json"
+for BACKEND in thread process distributed; do
+    python -m repro run examples/configs/metaseg_small.json \
+        --backend "${BACKEND}" --workers 2 --output "${PARITY_DIR}/${BACKEND}.json"
+done
 REPRO_DISPATCH_FAULTS='[{"task": 0, "attempt": 0, "action": "kill"}]' \
     python -m repro run examples/configs/metaseg_small.json \
-    --backend distributed --workers 2 --output "${DIST_FAULTED_OUT}"
-python - "${DIST_SERIAL_OUT}" "${DIST_HEALTHY_OUT}" "${DIST_FAULTED_OUT}" <<'PY'
+    --backend distributed --workers 2 --output "${PARITY_DIR}/kill-one.json"
+python - "${PARITY_DIR}" <<'PY'
 import json, sys
-serial, healthy, faulted = (json.load(open(path)) for path in sys.argv[1:])
-for label, report in (("healthy", healthy), ("kill-one", faulted)):
+from pathlib import Path
+root = Path(sys.argv[1])
+def section(label, field):
+    report = json.loads((root / f"{label}.json").read_text())
+    return json.dumps(report[field], sort_keys=True).encode()
+for label in ("thread", "process", "distributed", "kill-one"):
     for field in ("tables", "provenance"):
-        if report[field] != serial[field]:
-            print(f"FAIL: distributed {label} run diverges from serial "
-                  f"in {field}", file=sys.stderr)
+        if section(label, field) != section("serial", field):
+            print(f"FAIL: {label} run diverges from serial in {field}", file=sys.stderr)
             raise SystemExit(1)
-print("distributed smoke: healthy + kill-one-worker bitwise-equal to serial")
+print("transport parity: thread, process, distributed and kill-one-worker "
+      "byte-equal to serial")
 PY
 
 echo "=== experiment CLI (smoke) ==="

@@ -124,39 +124,13 @@ class NetworkConfig:
 
 @dataclass
 class ExtractionConfig:
-    """Inference + metric-extraction execution parameters.
+    """Metric-extraction parameters (bit-relevant; part of the shard keys)."""
 
-    Chunk size and worker count live here once instead of being threaded
-    through per-method keyword arguments; the pipelines fall back to these
-    values whenever a call site does not pass them explicitly.  All settings
-    are bit-neutral: parallel extraction is exactly identical to serial.
-    """
-
-    chunk_size: Optional[int] = None
-    """Samples per streamed chunk; ``None`` uses the library default."""
-    max_workers: Optional[int] = None
-    """Thread-pool width for per-sample fan-out.  ``None``, 0 and 1 all run
-    serially (the library-wide worker contract); negative values are
-    rejected at parse time."""
     connectivity: int = 8
     """Connectivity (4 or 8) of the segment decomposition (``metaseg``
     kind; the other kinds use the library default of 8)."""
 
     def validate(self) -> None:
-        if self.chunk_size is not None and (
-            not _is_int(self.chunk_size) or self.chunk_size < 1
-        ):
-            raise ConfigError(
-                f"extraction: chunk_size must be an integer >= 1, "
-                f"got {self.chunk_size!r}"
-            )
-        if self.max_workers is not None and (
-            not _is_int(self.max_workers) or self.max_workers < 0
-        ):
-            raise ConfigError(
-                f"extraction: max_workers must be an integer >= 0 "
-                f"(None, 0 and 1 run serially), got {self.max_workers!r}"
-            )
         if self.connectivity not in (4, 8):
             raise ConfigError("extraction: connectivity must be 4 or 8")
 
@@ -166,12 +140,11 @@ class ExecutionConfig:
     """How the Runner executes the dataset walk of an experiment.
 
     ``backend`` names an entry of the ``execution_backends`` registry
-    (built-ins: ``serial``, ``thread``, ``process``); ``workers`` is the
-    thread-pool width or process-shard count (``None`` lets the backend pick
-    its default, 0/1 degenerate to serial execution, negative values are
-    rejected at parse time); ``streaming`` selects the never-concatenate
-    aggregation path that folds per-chunk results into running accumulators
-    so peak memory stays O(chunk) instead of O(dataset).
+    (built-ins: ``serial``, ``thread``, ``process``, ``distributed``), the
+    transport that runs the walk's index ranges; ``workers`` is the one
+    worker knob — how many ranges run at once (``None`` uses every core
+    this process may run on, 0 and 1 run a single range, negative values
+    are rejected at parse time; ``serial`` always runs one range).
 
     The fault-tolerance knobs apply to the ``distributed`` backend's work
     queue (other backends ignore them): ``lease_timeout`` is how many
@@ -180,13 +153,12 @@ class ExecutionConfig:
     fails with a :class:`repro.dispatch.DispatchError`, and ``backoff`` is
     the base retry delay (doubled per attempt, jittered, capped).
 
-    Every combination is bit-neutral: backends and streaming only change how
-    the work is scheduled, never the numbers.
+    Every combination is bit-neutral: backends only change where the work
+    runs, never the numbers.
     """
 
     backend: str = "serial"
     workers: Optional[int] = None
-    streaming: bool = False
     lease_timeout: float = 30.0
     max_retries: int = 3
     backoff: float = 0.05
@@ -200,10 +172,6 @@ class ExecutionConfig:
             raise ConfigError(
                 f"execution: workers must be an integer >= 0 "
                 f"(None, 0 and 1 run serially), got {self.workers!r}"
-            )
-        if not isinstance(self.streaming, bool):
-            raise ConfigError(
-                f"execution: streaming must be a boolean, got {self.streaming!r}"
             )
         if (
             not isinstance(self.lease_timeout, (int, float))
@@ -314,6 +282,21 @@ class EvalConfig:
             raise ConfigError("evaluation: category must be non-empty")
 
 
+#: Keys that no longer exist, with what replaces them; rejected by name
+#: wherever a config is parsed or overridden.
+REMOVED_KEYS = {
+    "extraction.max_workers": "set execution.workers instead (the one worker knob)",
+    "extraction.chunk_size": "every walk now holds one item per worker",
+    "execution.streaming": "every walk now holds one item per worker",
+}
+
+
+def _reject_removed(path: str) -> None:
+    if path in REMOVED_KEYS:
+        section, key = path.split(".")
+        raise ConfigError(f"{section}: {key} was removed; {REMOVED_KEYS[path]}")
+
+
 #: Section name -> nested dataclass type, shared by from_dict/to_dict.
 _SECTIONS = {
     "data": DataConfig,
@@ -368,13 +351,14 @@ class ExperimentConfig:
         """Build a config from a plain dict, rejecting unknown keys.
 
         By default the built config is validated before it is returned, so
-        structurally invalid values (negative worker counts, zero chunk
-        sizes, bad fractions, ...) raise :class:`ConfigError` — naming the
+        structurally invalid values (negative worker counts, bad fractions,
+        ...) raise :class:`ConfigError` — naming the
         section and field — at parse time instead of blowing up deep inside
         the execution layer.  ``validate=False`` defers that to the caller,
         for consumers that apply overrides before validating (the CLI flags:
         an override must be able to fix the very field it overrides).
-        Structural errors (non-dict payloads, unknown keys) always raise.
+        Structural errors (non-dict payloads, unknown or removed keys)
+        always raise; a removed key names its replacement.
         """
         if not isinstance(payload, dict):
             raise ConfigError(f"config payload must be a dict, got {type(payload).__name__}")
@@ -422,6 +406,7 @@ def apply_dotted_override(payload: Dict[str, object], path: str, value: object) 
     """
     if not isinstance(path, str) or not path:
         raise ConfigError(f"override path must be a non-empty string, got {path!r}")
+    _reject_removed(path)
     parts = path.split(".")
     node: object = payload
     for depth, part in enumerate(parts):
@@ -442,6 +427,8 @@ def _section_from_dict(section_cls, payload: object, section: str):
         return payload
     if not isinstance(payload, dict):
         raise ConfigError(f"config section {section!r} must be a dict")
+    for key in sorted(map(str, payload)):
+        _reject_removed(f"{section}.{key}")
     known = {f.name for f in dataclasses.fields(section_cls)}
     unknown = set(payload) - known
     if unknown:

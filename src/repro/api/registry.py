@@ -172,7 +172,9 @@ DECISION_RULES = Registry(
     "decision_rules", "pixel-wise decision rules on the softmax output"
 )
 EXECUTION_BACKENDS = Registry(
-    "execution_backends", "how the Runner executes a dataset walk (serial/thread/process)"
+    "execution_backends",
+    "where the Runner runs the index ranges of a dataset walk "
+    "(serial/thread/process/distributed)",
 )
 
 #: All registries by kind, in display order.

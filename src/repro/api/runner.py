@@ -22,7 +22,8 @@ from typing import Dict, List, NamedTuple, Optional, Union
 
 from repro.api.config import ExperimentConfig
 from repro.api.fitted import FittedModel
-from repro.obs import Tracer, timings_view
+from repro.api.kinds import KINDS, Table, build_metaseg_pipeline
+from repro.obs import NULL_TRACER, Tracer, timings_view
 from repro.store import FitCache, model_key, report_key
 from repro.api.registry import (
     DATASETS,
@@ -33,28 +34,7 @@ from repro.api.registry import (
     METRIC_GROUPS,
     NETWORK_PROFILES,
 )
-from repro.core.pipeline import MetaSegPipeline
-from repro.decision.pipeline import DecisionRuleComparison
 from repro.segmentation.network import SimulatedSegmentationNetwork
-from repro.timedynamic.pipeline import TimeDynamicPipeline
-from repro.utils.arrays import mean_std
-
-#: A table is a list of flat rows; every row is JSON-serialisable.
-Table = List[Dict[str, object]]
-
-
-def _table_rows(cells) -> Table:
-    """Flatten (key-fields, {metric: (mean, std)}) cells into table rows.
-
-    Every report table shares this row shape — the key fields of the cell
-    plus ``metric``/``mean``/``std`` columns — so downstream consumers need
-    no kind-specific handling.
-    """
-    rows: Table = []
-    for keys, metrics_by_name in cells:
-        for metric, (mean, std) in metrics_by_name.items():
-            rows.append({**keys, "metric": metric, "mean": mean, "std": std})
-    return rows
 
 
 class DerivedSeeds(NamedTuple):
@@ -211,11 +191,12 @@ class Runner:
 
     Passing a :class:`repro.store.ResultStore` enables result caching at two
     granularities: whole reports are memoised by the full config hash, and
-    the ``process`` backend additionally caches per-shard stage-1 payloads
-    keyed by (stage-1 config hash, index range) — so a sweep that only
-    changes protocol-side fields (e.g. the meta-model) reuses every
-    extraction shard.  Cached reports are bitwise identical to fresh ones
-    (timings and cache bookkeeping live outside the serialised payload).
+    a walk spread over several workers additionally caches its per-range
+    stage-1 payloads keyed by (stage-1 config hash, index range) — so a
+    sweep that only changes protocol-side fields (e.g. the meta-model)
+    reuses every extraction shard.  Cached reports are bitwise identical to
+    fresh ones (timings and cache bookkeeping live outside the serialised
+    payload).
 
     ``tracer`` selects the telemetry sink for the run's stage spans
     (:mod:`repro.obs`).  The default (``None``) gives every ``run()`` its
@@ -240,11 +221,13 @@ class Runner:
     def run(self, config: Union[ExperimentConfig, Dict[str, object]]) -> ExperimentReport:
         """Execute one experiment and return its unified report.
 
-        The dataset walk is delegated to the execution backend named by
-        ``config.execution.backend`` (``serial`` / ``thread`` / ``process``,
-        resolved through the ``execution_backends`` registry); every backend
-        is bitwise identical to serial, so the choice is purely about
-        wall-clock and memory.
+        One path for every kind: the execution backend named by
+        ``config.execution.backend`` (resolved through the
+        ``execution_backends`` registry) walks the kind's index ranges and
+        folds them (:mod:`repro.api.kinds`), then the kind's protocol
+        evaluates the folded result in this process.  Every backend is
+        bitwise identical to serial, so the choice is purely about
+        wall-clock.
         """
         if isinstance(config, dict):
             config = ExperimentConfig.from_dict(config)
@@ -267,24 +250,18 @@ class Runner:
         with tracer.span("run", kind=config.kind, seed=config.seed) as root:
             with tracer.span("resolve"):
                 resolved = self.resolve(config)
-                backend = EXECUTION_BACKENDS.get(config.execution.backend)(
-                    config.execution
-                )
-                attach_tracer = getattr(backend, "attach_tracer", None)
-                if attach_tracer is not None:
-                    attach_tracer(tracer)
+                backend = self._backend(config, tracer)
                 fit_cache = None
                 if self.store is not None:
-                    attach = getattr(backend, "attach_store", None)
-                    if attach is not None:
-                        attach(self.store)
                     fit_cache = FitCache(self.store, config.to_dict())
-            runner = {
-                "metaseg": self._run_metaseg,
-                "timedynamic": self._run_timedynamic,
-                "decision": self._run_decision,
-            }[config.kind]
-            report = runner(resolved, backend, tracer, fit_cache)
+            kind = KINDS[config.kind]
+            folded = backend.walk(kind, resolved)
+            report = ExperimentReport(
+                kind=config.kind, name=config.name, seed=config.seed, config=config.to_dict()
+            )
+            report.provenance, report.tables = kind.evaluate(
+                resolved, folded, tracer, fit_cache
+            )
         report.timings = timings_view(tracer.records(), root.span_id)
         if self.store is not None:
             self.store.put(
@@ -299,25 +276,27 @@ class Runner:
                     "config_hash": key,
                 },
             )
-            report.cache = {"hit": False, "key": key}
-            shard_cache = getattr(backend, "shard_cache", None)
-            if shard_cache:
-                report.cache["shards"] = dict(shard_cache)
-            fits = {"hits": 0, "misses": 0}
-            for counters in (fit_cache.counters, getattr(backend, "fit_cache", None)):
-                if counters:
-                    fits["hits"] += int(counters.get("hits", 0))
-                    fits["misses"] += int(counters.get("misses", 0))
+            report.cache = {"hit": False, "key": key, "shards": dict(backend.shard_cache)}
+            fits = {
+                name: fit_cache.counters[name] + backend.fit_cache[name]
+                for name in ("hits", "misses")
+            }
             if fits["hits"] or fits["misses"]:
                 report.cache["fits"] = fits
-        dispatch_stats = getattr(backend, "dispatch_stats", None)
-        if dispatch_stats is not None:
+        if backend.dispatch_stats:
             # Queue counters of the distributed backend (retries, worker
             # losses, dedup hits ...).  ``report.cache`` is excluded from the
             # serialised report, so the stats never perturb cache keys or
             # stored payloads.
-            report.cache["dispatch"] = dict(dispatch_stats)
+            report.cache["dispatch"] = dict(backend.dispatch_stats)
         return report
+
+    def _backend(self, config: ExperimentConfig, tracer: object):
+        """The config's execution backend, wired to this Runner's store."""
+        backend = EXECUTION_BACKENDS.get(config.execution.backend)(config.execution)
+        backend.store = self.store
+        backend.tracer = tracer
+        return backend
 
     def fit(self, config: Union[ExperimentConfig, Dict[str, object]]) -> FittedModel:
         """Fit (once) the serving meta-model of a metaseg config.
@@ -348,13 +327,8 @@ class Runner:
                 model.cache = {"hit": True, "key": key}
                 return model
         resolved = self.resolve(config)
-        backend = EXECUTION_BACKENDS.get(config.execution.backend)(config.execution)
-        if self.store is not None:
-            attach = getattr(backend, "attach_store", None)
-            if attach is not None:
-                attach(self.store)
-        pipeline = self.build_metaseg_pipeline(resolved)
-        metrics, n_images = backend.extract_metaseg(self, resolved, pipeline)
+        backend = self._backend(config, NULL_TRACER)
+        metrics, n_images = backend.extract_metaseg(resolved)
         classifier_name = resolved.classifiers[0]
         regressor_name = resolved.regressors[0]
         params = config.meta_models.model_params
@@ -375,7 +349,7 @@ class Runner:
         model = FittedModel(
             classifier=classifier,
             regressor=regressor,
-            label_space=pipeline.label_space,
+            label_space=build_metaseg_pipeline(resolved).label_space,
             connectivity=config.extraction.connectivity,
             feature_names=list(metrics.feature_names),
             provenance={
@@ -538,186 +512,6 @@ class Runner:
                 f"{config.kind!r}: it lacks {', '.join(missing)}; "
                 f"this kind needs {shape}"
             )
-
-    # ------------------------------------------------------------------ ---
-    def _report(self, resolved: ResolvedExperiment) -> ExperimentReport:
-        config = resolved.config
-        return ExperimentReport(
-            kind=config.kind, name=config.name, seed=config.seed, config=config.to_dict()
-        )
-
-    # ----------------------------------------------------- pipeline factories
-    # Shared by the in-process kind runners and the process-backend shard
-    # workers (repro.api.execution), so a shard rebuilds exactly the pipeline
-    # the parent would have used.
-
-    def build_metaseg_pipeline(self, resolved: ResolvedExperiment) -> MetaSegPipeline:
-        """The MetaSeg pipeline of a resolved config."""
-        config = resolved.config
-        return MetaSegPipeline(
-            resolved.network,
-            connectivity=config.extraction.connectivity,
-            classification_penalty=config.meta_models.classification_penalty,
-            regression_penalty=config.meta_models.regression_penalty,
-            extraction=config.extraction,
-        )
-
-    def build_timedynamic_pipeline(self, resolved: ResolvedExperiment) -> TimeDynamicPipeline:
-        """The time-dynamic pipeline of a resolved config."""
-        config = resolved.config
-        params = config.meta_models.model_params
-        pipeline_kwargs = {}
-        if resolved.feature_subset is not None:
-            # The metric-group restriction maps to the base features tracked
-            # over time (the full time-series vector is built from them).
-            pipeline_kwargs["base_features"] = resolved.feature_subset
-        return TimeDynamicPipeline(
-            test_network=resolved.network,
-            reference_network=resolved.reference_network,
-            classification_penalty=config.meta_models.classification_penalty,
-            regression_penalty=config.meta_models.regression_penalty,
-            gradient_boosting_params=params.get("gradient_boosting"),
-            neural_network_params=params.get("neural_network"),
-            extraction=config.extraction,
-            **pipeline_kwargs,
-        )
-
-    def build_decision_comparison(self, resolved: ResolvedExperiment) -> DecisionRuleComparison:
-        """The decision-rule comparison of a resolved config."""
-        config = resolved.config
-        return DecisionRuleComparison(
-            resolved.network,
-            category=config.evaluation.category,
-            extraction=config.extraction,
-        )
-
-    # ------------------------------------------------------------------ ---
-    def _run_metaseg(
-        self, resolved: ResolvedExperiment, backend, tracer,
-        fit_cache: Optional[FitCache] = None,
-    ) -> ExperimentReport:
-        config = resolved.config
-        pipeline = self.build_metaseg_pipeline(resolved)
-        with tracer.span("extract", backend=backend.name) as span:
-            metrics, n_images = backend.extract_metaseg(self, resolved, pipeline)
-            span.set(n_images=n_images, n_segments=len(metrics))
-        with tracer.span("evaluate", n_runs=config.evaluation.n_runs):
-            result = pipeline.run_table1_protocol(
-                metrics,
-                n_runs=config.evaluation.n_runs,
-                train_fraction=config.evaluation.train_fraction,
-                random_state=resolved.seeds.protocol,
-                classification_methods=resolved.classifiers,
-                regression_methods=resolved.regressors,
-                feature_subset=resolved.feature_subset,
-                model_params=config.meta_models.model_params,
-                fit_cache=fit_cache,
-            )
-
-        report = self._report(resolved)
-        report.provenance.update(
-            network=result.network_name,
-            n_images=n_images,
-            n_segments=result.n_segments,
-            false_positive_fraction=result.false_positive_fraction,
-            n_runs=result.n_runs,
-        )
-        classification = _table_rows(
-            ({"variant": variant}, metrics_by_name)
-            for variant, metrics_by_name in result.classification.items()
-        )
-        classification.append(
-            {"variant": "naive", "metric": "accuracy", "mean": result.naive_accuracy, "std": 0.0}
-        )
-        regression = _table_rows(
-            ({"variant": variant}, metrics_by_name)
-            for variant, metrics_by_name in result.regression.items()
-        )
-        report.tables = {"classification": classification, "regression": regression}
-        return report
-
-    def _run_timedynamic(
-        self, resolved: ResolvedExperiment, backend, tracer,
-        fit_cache: Optional[FitCache] = None,
-    ) -> ExperimentReport:
-        config = resolved.config
-        pipeline = self.build_timedynamic_pipeline(resolved)
-        with tracer.span("process", backend=backend.name) as span:
-            sequences = backend.process_timedynamic(self, resolved, pipeline)
-            span.set(n_sequences=len(sequences))
-        with tracer.span("evaluate", n_runs=config.evaluation.n_runs):
-            result = pipeline.run_protocol(
-                sequences,
-                n_frames_list=config.evaluation.n_frames_list,
-                compositions=config.evaluation.compositions,
-                methods=resolved.classifiers,
-                n_runs=config.evaluation.n_runs,
-                split_fractions=config.evaluation.split_fractions,
-                augmentation_factor=config.evaluation.augmentation_factor,
-                random_state=resolved.seeds.protocol,
-                fit_cache=fit_cache,
-            )
-
-        report = self._report(resolved)
-        report.provenance.update(
-            network=resolved.network.profile.name,
-            reference_network=resolved.reference_network.profile.name,
-            n_sequences=resolved.dataset.n_sequences,
-            n_real_segments=result.n_real_segments,
-            n_pseudo_segments=result.n_pseudo_segments,
-            n_runs=result.n_runs,
-        )
-        def cells(nested):
-            for composition, by_method in nested.items():
-                for method, by_frames in by_method.items():
-                    for n_frames, metrics_by_name in sorted(by_frames.items()):
-                        yield (
-                            {"composition": composition, "method": method,
-                             "n_frames": n_frames},
-                            metrics_by_name,
-                        )
-
-        report.tables = {
-            "classification": _table_rows(cells(result.classification)),
-            "regression": _table_rows(cells(result.regression)),
-        }
-        return report
-
-    def _run_decision(
-        self, resolved: ResolvedExperiment, backend, tracer,
-        fit_cache: Optional[FitCache] = None,
-    ) -> ExperimentReport:
-        # The decision protocol fits no meta-models; its cacheable fit (the
-        # pixel priors) is handled inside the execution backend.  The backend
-        # names its own stages ("fit_priors"/"evaluate"), so it receives the
-        # span factory as the stage timer.
-        comparison = self.build_decision_comparison(resolved)
-        result, n_train, n_val = backend.compare_decision(
-            self, resolved, comparison, tracer.span
-        )
-
-        report = self._report(resolved)
-        report.provenance.update(
-            network=result.network_name,
-            category=result.category,
-            n_train_images=n_train,
-            n_val_images=n_val,
-        )
-        report.tables = {
-            "rules": _table_rows(
-                (
-                    {"rule": rule},
-                    {
-                        "precision": mean_std(stats.precision_values),
-                        "recall": mean_std(stats.recall_values),
-                        "non_detection_rate": (stats.non_detection_rate(), 0.0),
-                        "pixel_accuracy": (result.pixel_accuracy[rule], 0.0),
-                    },
-                )
-                for rule, stats in result.per_rule.items()
-            )
-        }
-        return report
 
 
 def run_experiment(config: Union[ExperimentConfig, Dict[str, object]]) -> ExperimentReport:

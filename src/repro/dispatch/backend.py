@@ -1,23 +1,16 @@
-"""The ``distributed`` execution backend: shard fan-out over the work queue.
+"""The ``distributed`` execution backend: range fan-out over the work queue.
 
-:class:`DistributedBackend` is the :class:`~repro.api.execution.ProcessBackend`
-with its process-pool shard computation replaced by the fault-tolerant
-dispatch queue: a :class:`~repro.dispatch.coordinator.Coordinator` serves
-the shard specs over localhost TCP to ``multiprocessing`` workers running
+:class:`DistributedBackend` is a transport of the execution core
+(:mod:`repro.api.execution`): it only overrides where range specs run.  A
+:class:`~repro.dispatch.coordinator.Coordinator` serves the specs over
+localhost TCP to ``multiprocessing`` workers running
 :func:`~repro.dispatch.worker.worker_main` (externally attached
-``python -m repro worker`` processes can join the same queue).  Everything
-else — spec construction, trace-envelope absorption, shard-order merging,
-the serial fallback for one worker / one item — is inherited, so the
-bitwise-parity contract of the base class carries over verbatim; the queue
-adds worker-loss tolerance, lease timeouts, retry with backoff, dedup and
-inline graceful degradation on top.
-
-With a store attached, shard reuse additionally becomes *single-flight*
-across processes: missing shard keys are claimed through the store's
-lock-file primitives, unclaimed keys (another run is computing them right
-now) are waited on and re-read, and a waiter whose producer died rescues
-the shard by computing it inline.  Concurrent runs over the same config
-therefore compute each shard once, not once per run.
+``python -m repro worker`` processes can join the same queue), and each
+worker computes them with :func:`repro.api.execution.run_shard`.  The walk
+itself — specs, the single-flight shard cache, trace absorption, the fold
+and the single-range fallback — is inherited, so the bitwise-parity
+contract carries over verbatim; the queue adds worker-loss tolerance, lease
+timeouts, retry with backoff, dedup and inline graceful degradation on top.
 
 Queue stats accumulate on ``self.dispatch_stats`` (the Runner copies them
 into ``report.cache["dispatch"]``) and mirror to ``METRICS`` under
@@ -34,7 +27,7 @@ from repro.api.execution import ProcessBackend
 from repro.api.registry import EXECUTION_BACKENDS
 from repro.dispatch.coordinator import STAT_NAMES, Coordinator
 from repro.dispatch.faults import FaultPlan
-from repro.dispatch.worker import is_worker_process, worker_main
+from repro.dispatch.worker import worker_main
 from repro.store import shard_key
 
 #: Grace period for spawned workers to exit after the queue winds down.
@@ -65,14 +58,6 @@ class DistributedBackend(ProcessBackend):
         #: Runner exposes them as ``report.cache["dispatch"]``.
         self.dispatch_stats: Dict[str, int] = {name: 0 for name in STAT_NAMES}
 
-    def default_workers(self) -> int:
-        if is_worker_process():
-            # Inside a dispatch worker: degrade to the inline serial walk so
-            # a distributed config never recursively fans out from within
-            # its own workers.
-            return 1
-        return super().default_workers()
-
     # ------------------------------------------------------------- the queue
     @staticmethod
     def _dedup_keys(specs: List[Dict]) -> Optional[List[Optional[str]]]:
@@ -92,11 +77,11 @@ class DistributedBackend(ProcessBackend):
 
     def _compute_shards(self, worker: Callable, specs: List[Dict]) -> List:
         """Compute shard specs through the dispatch queue (results in order)."""
-        if len(specs) == 1 or is_worker_process():
+        if len(specs) == 1:
             return [worker(spec) for spec in specs]
         fn = f"{worker.__module__}:{worker.__qualname__}"
         fault_plan = FaultPlan.from_env()
-        n_workers = min(self.default_workers(), len(specs))
+        n_workers = min(self.workers, len(specs))
         context = _worker_context()
         execution = self.execution
         with Coordinator(
@@ -130,65 +115,6 @@ class DistributedBackend(ProcessBackend):
                         process.terminate()
                         process.join(timeout=JOIN_TIMEOUT)
         return results
-
-    # ------------------------------------------------- single-flight caching
-    def _map_shards(self, worker: Callable, specs: List[Dict]) -> List:
-        """Shard results in shard order, single-flight across processes.
-
-        Without a store this is the queue fan-out.  With one, every missing
-        shard key is either *claimed* (we compute it — one queue run for the
-        whole claimed batch — and publish), or already claimed by another
-        process, in which case we wait and re-read; if that producer dies
-        without publishing, the waiter rescues the shard by computing it
-        inline.  Either way each shard is computed once machine-wide.
-        """
-        if self.store is None:
-            computed = self._compute_shards(worker, specs)
-            return [self._absorb_shard_trace(result) for result in computed]
-        keys = [
-            shard_key(spec["config"], spec["start"], spec["stop"]) for spec in specs
-        ]
-        results: List = [self.store.get(key, codec="pickle") for key in keys]
-        missing = [index for index, result in enumerate(results) if result is None]
-        self.shard_cache["hits"] += len(specs) - len(missing)
-        self.shard_cache["misses"] += len(missing)
-        if not missing:
-            return results
-        claimed = [index for index in missing if self.store.try_claim(keys[index])]
-        waiting = [index for index in missing if index not in set(claimed)]
-        try:
-            if claimed:
-                computed = self._compute_shards(worker, [specs[i] for i in claimed])
-                for index, result in zip(claimed, computed):
-                    results[index] = self._put_shard(keys[index], specs[index], result)
-        finally:
-            for index in claimed:
-                self.store.release(keys[index])
-        for index in waiting:
-            value = self.store.wait_for(keys[index], codec="pickle")
-            if value is None:
-                # The claiming producer died without publishing: rescue the
-                # shard inline (pure function of the spec — same bytes).
-                value = self._put_shard(keys[index], specs[index], worker(specs[index]))
-            results[index] = value
-        return results
-
-    def _put_shard(self, key: str, spec: Dict, result):
-        """Absorb one computed shard's trace envelope and publish it."""
-        result = self._absorb_shard_trace(result)
-        self.store.put(
-            key,
-            result,
-            codec="pickle",
-            provenance={
-                "type": "shard",
-                "kind": spec["config"]["kind"],
-                "start": spec["start"],
-                "stop": spec["stop"],
-                "config_hash": key,
-            },
-        )
-        return result
 
 
 __all__ = ["DistributedBackend", "JOIN_TIMEOUT"]

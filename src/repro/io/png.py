@@ -5,13 +5,14 @@ ids.  The container image deliberately ships no imaging library (no Pillow,
 no imageio), so this module implements the tiny subset of the PNG spec the
 disk dataset needs, on top of :mod:`zlib` and :mod:`struct`:
 
-* :func:`write_png_gray8` — write a 2-D ``uint8`` array as an 8-bit
-  grayscale PNG (filter type 0 per scanline; one IDAT chunk);
-* :func:`read_png_gray8` — read an 8-bit grayscale, non-interlaced PNG back
-  into a 2-D ``uint8`` array.  All five scanline filter types (None / Sub /
-  Up / Average / Paeth) are supported, so files produced by standard
-  encoders (which pick filters adaptively) decode correctly, not only our
-  own filter-0 output.
+* :func:`write_png_gray8` / :func:`encode_png_gray8` — write a 2-D
+  ``uint8`` array as an 8-bit grayscale PNG file or bytes (filter type 0
+  per scanline; one IDAT chunk);
+* :func:`read_png_gray8` / :func:`decode_png_gray8` — read an 8-bit
+  grayscale, non-interlaced PNG file or bytes back into a 2-D ``uint8``
+  array.  All five scanline filter types (None / Sub / Up / Average /
+  Paeth) are supported, so files produced by standard encoders (which pick
+  filters adaptively) decode correctly, not only our own filter-0 output.
 
 Anything outside that subset — palette or RGB color types, 16-bit depth,
 interlacing — raises :class:`PngError` with the offending property named,
@@ -48,6 +49,11 @@ def _chunk(tag: bytes, payload: bytes) -> bytes:
 
 def write_png_gray8(path: Union[str, Path], image: np.ndarray) -> None:
     """Write a 2-D ``uint8`` array as an 8-bit grayscale PNG."""
+    Path(path).write_bytes(encode_png_gray8(image))
+
+
+def encode_png_gray8(image: np.ndarray) -> bytes:
+    """The 8-bit grayscale PNG bytes of a 2-D ``uint8`` array."""
     arr = np.asarray(image)
     if arr.ndim != 2 or arr.size == 0:
         raise PngError(f"image must be a non-empty 2-D array, got shape {arr.shape}")
@@ -65,13 +71,12 @@ def write_png_gray8(path: Union[str, Path], image: np.ndarray) -> None:
     raw = np.empty((height, width + 1), dtype=np.uint8)
     raw[:, 0] = 0
     raw[:, 1:] = arr
-    data = (
+    return (
         _SIGNATURE
         + _chunk(b"IHDR", ihdr)
         + _chunk(b"IDAT", zlib.compress(raw.tobytes(), level=6))
         + _chunk(b"IEND", b"")
     )
-    Path(path).write_bytes(data)
 
 
 def _unfilter(filtered: np.ndarray, height: int, width: int) -> np.ndarray:
@@ -120,9 +125,16 @@ def _unfilter(filtered: np.ndarray, height: int, width: int) -> np.ndarray:
 def read_png_gray8(path: Union[str, Path]) -> np.ndarray:
     """Read an 8-bit grayscale non-interlaced PNG as a 2-D ``uint8`` array."""
     path = Path(path)
-    data = path.read_bytes()
+    return decode_png_gray8(path.read_bytes(), str(path))
+
+
+def decode_png_gray8(data: bytes, source: str = "<bytes>") -> np.ndarray:
+    """Decode 8-bit grayscale PNG bytes; any other input raises :class:`PngError`.
+
+    ``source`` names the input in error messages.
+    """
     if not data.startswith(_SIGNATURE):
-        raise PngError(f"{path} is not a PNG file (bad signature)")
+        raise PngError(f"{source} is not a PNG file (bad signature)")
     offset = len(_SIGNATURE)
     header = None
     idat = bytearray()
@@ -131,8 +143,10 @@ def read_png_gray8(path: Union[str, Path]) -> np.ndarray:
         tag = data[offset + 4 : offset + 8]
         payload = data[offset + 8 : offset + 8 + length]
         if len(payload) != length:
-            raise PngError(f"{path} is truncated inside chunk {tag!r}")
+            raise PngError(f"{source} is truncated inside chunk {tag!r}")
         if tag == b"IHDR":
+            if length != 13:
+                raise PngError(f"{source} has a {length}-byte IHDR chunk, expected 13")
             header = struct.unpack(">IIBBBBB", payload)
         elif tag == b"IDAT":
             idat.extend(payload)
@@ -140,25 +154,27 @@ def read_png_gray8(path: Union[str, Path]) -> np.ndarray:
             break
         offset += 12 + length  # length + tag + payload + CRC
     if header is None:
-        raise PngError(f"{path} has no IHDR chunk")
+        raise PngError(f"{source} has no IHDR chunk")
     width, height, bit_depth, color_type, _, _, interlace = header
+    if width == 0 or height == 0:
+        raise PngError(f"{source} declares an empty {width}x{height} image")
     if bit_depth != 8 or color_type != 0:
         raise PngError(
-            f"{path} is not 8-bit grayscale (bit depth {bit_depth}, "
+            f"{source} is not 8-bit grayscale (bit depth {bit_depth}, "
             f"color type {color_type}); label maps must be *_labelIds-style PNGs"
         )
     if interlace != 0:
-        raise PngError(f"{path} is interlaced, which is not supported")
+        raise PngError(f"{source} is interlaced, which is not supported")
     if not idat:
-        raise PngError(f"{path} has no IDAT chunk")
+        raise PngError(f"{source} has no IDAT chunk")
     try:
         raw = zlib.decompress(bytes(idat))
     except zlib.error as exc:
-        raise PngError(f"{path} has corrupt image data: {exc}") from None
+        raise PngError(f"{source} has corrupt image data: {exc}") from None
     expected = height * (width + 1)
     if len(raw) != expected:
         raise PngError(
-            f"{path} decodes to {len(raw)} bytes, expected {expected} "
+            f"{source} decodes to {len(raw)} bytes, expected {expected} "
             f"for {width}x{height} grayscale"
         )
     return _unfilter(np.frombuffer(raw, dtype=np.uint8), height, width)

@@ -100,8 +100,8 @@ class CityscapesLikeDataset:
         Scene ``index`` is generated from a seed derived from the split's
         master seed and ``index``, so a sample is bitwise identical whether
         it is served from the cache, regenerated (``cache=False``, the
-        memory-bounded streaming walks) or built in another process (the
-        sharded execution backend).
+        memory-bounded range walks) or built in another process (the
+        ``process`` and ``distributed`` backends).
         """
         if split == "train":
             size, cached, generator = self.n_train, self._train_cache, self._train_generator
@@ -187,8 +187,8 @@ class KittiLikeDataset:
         """Return (and by default cache) sequence *index*.
 
         Sequences are generated from per-index derived seeds, so
-        ``cache=False`` (memory-bounded streaming walks) and out-of-process
-        regeneration (the sharded execution backend) are bitwise identical
+        ``cache=False`` (memory-bounded range walks) and out-of-process
+        regeneration (the ``process`` backend) are bitwise identical
         to the cached path.
         """
         if not 0 <= index < self.n_sequences:

@@ -244,12 +244,11 @@ def run_sweep(
     no_cache: bool = False,
     backend: Optional[str] = None,
     workers: Optional[int] = None,
-    streaming: Optional[bool] = None,
     tracer: Optional[object] = None,
 ) -> SweepResult:
     """Execute every point of a sweep and return the collected result.
 
-    ``backend`` / ``workers`` / ``streaming`` override the execution section
+    ``backend`` / ``workers`` override the execution section
     of *every* point (they are bit-neutral, so the reports are unaffected).
     Caching is on by default — ``store`` picks the store (default:
     :class:`ResultStore` at the standard root, ``$REPRO_CACHE_DIR``
@@ -279,8 +278,6 @@ def run_sweep(
                 config.execution.backend = backend
             if workers is not None:
                 config.execution.workers = workers
-            if streaming is not None:
-                config.execution.streaming = streaming
             config.validate()
         if _fan_out_points(points):
             # Distributed sweeps ship whole points to queue workers; the

@@ -20,17 +20,12 @@ Protocol, following Section III:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.api.registry import META_CLASSIFIERS, META_REGRESSORS
-from repro.core.batching import (
-    extraction_defaults,
-    map_ordered,
-    normalize_max_workers,
-    supports_cache_kwarg,
-)
+from repro.core.batching import supports_cache_kwarg
 from repro.core.dataset import MetricsDataset
 from repro.core.meta_classification import MetaClassifier
 from repro.core.meta_regression import MetaRegressor
@@ -49,9 +44,6 @@ from repro.timedynamic.time_series import (
 )
 from repro.utils.arrays import mean_std
 from repro.utils.rng import RandomState, as_rng
-
-if TYPE_CHECKING:  # pragma: no cover - import would cycle at runtime
-    from repro.api.config import ExtractionConfig
 
 
 @dataclass
@@ -113,7 +105,6 @@ class TimeDynamicPipeline:
         regression_penalty: float = 1e-3,
         gradient_boosting_params: Optional[dict] = None,
         neural_network_params: Optional[dict] = None,
-        extraction: Optional["ExtractionConfig"] = None,
     ) -> None:
         self.test_network = test_network
         self.reference_network = reference_network
@@ -121,7 +112,6 @@ class TimeDynamicPipeline:
         self.base_features = list(base_features)
         self.classification_penalty = float(classification_penalty)
         self.regression_penalty = float(regression_penalty)
-        _, self._default_max_workers = extraction_defaults(extraction)
         self.gradient_boosting_params = dict(gradient_boosting_params or {
             "n_estimators": 40, "max_depth": 3, "max_features": "sqrt", "subsample": 0.8,
         })
@@ -133,24 +123,14 @@ class TimeDynamicPipeline:
         )
 
     # ------------------------------------------------------------------ ---
-    @staticmethod
-    def _sequence_samples(dataset: KittiLikeDataset, sequence_index: int, cache: bool):
-        """Samples of one sequence, uncached where the substrate supports it.
-
-        Custom registered substrates may not take the ``cache`` keyword; they
-        fall back to their default (cached) accessor, which is still correct,
-        just without the streaming memory bound.
-        """
-        if not cache and supports_cache_kwarg(dataset.samples):
-            return dataset.samples(sequence_index, cache=False)
-        return dataset.samples(sequence_index)
-
     def _process_sequence(
-        self, dataset: KittiLikeDataset, sequence_index: int, cache: bool = True
+        self, dataset: KittiLikeDataset, sequence_index: int
     ) -> SequenceMetrics:
         """Inference, pseudo labelling, extraction and tracking for one sequence.
 
-        Both per-frame hot paths are sparse single-pass computations: metric
+        The raw frames are regenerated uncached (where the substrate
+        supports it) and released once the sequence is processed.  Both
+        per-frame hot paths are sparse single-pass computations: metric
         extraction runs the fused aggregation of
         :class:`~repro.core.metrics.SegmentMetricsExtractor` (one top-2
         partition + grouped bincounts) and the tracker matches segments via
@@ -158,7 +138,10 @@ class TimeDynamicPipeline:
         table, so per-frame cost is O(H×W) rather than O(n_segments × H×W).
         """
         frames_per_sequence = dataset.n_frames_per_sequence
-        samples = self._sequence_samples(dataset, sequence_index, cache)
+        if supports_cache_kwarg(dataset.samples):
+            samples = dataset.samples(sequence_index, cache=False)
+        else:
+            samples = dataset.samples(sequence_index)
         probability_fields = []
         real_gt: List[Optional[np.ndarray]] = []
         pseudo_gt: List[Optional[np.ndarray]] = []
@@ -185,44 +168,17 @@ class TimeDynamicPipeline:
     def process_dataset(
         self,
         dataset: KittiLikeDataset,
-        max_workers: Optional[int] = None,
-        cache: bool = True,
+        start: int = 0,
+        stop: Optional[int] = None,
     ) -> List[SequenceMetrics]:
         """Run inference, pseudo labelling, metric extraction and tracking.
 
-        Sequences are independent of each other (network RNG is derived from
-        the global frame index, tracking state lives per sequence), so with
-        ``max_workers`` > 1 they are processed on a thread pool via the shared
-        batched-execution layer; the returned list is ordered by sequence
-        index and bit-identical to the serial run.  ``max_workers=None``
-        falls back to the pipeline's extraction config (serial by default).
-        ``cache=False`` regenerates and releases each sequence's raw frames
-        instead of caching the whole dataset's pixel data (the streaming
-        walk); results are bitwise identical either way.
-        """
-        max_workers = normalize_max_workers(max_workers, self._default_max_workers)
-        return map_ordered(
-            lambda sequence_index: self._process_sequence(dataset, sequence_index, cache=cache),
-            range(dataset.n_sequences),
-            max_workers=max_workers,
-        )
-
-    def iter_process_dataset(
-        self,
-        dataset: KittiLikeDataset,
-        start: int = 0,
-        stop: Optional[int] = None,
-        cache: bool = True,
-    ) -> "Iterator[SequenceMetrics]":
-        """Streaming variant of :meth:`process_dataset`.
-
-        Yields the :class:`SequenceMetrics` of sequences ``start..stop`` one
-        at a time (bitwise identical to the corresponding slice of the serial
-        :meth:`process_dataset` result).  With ``cache=False`` the raw frames
-        of a sequence are regenerated on the fly and released as soon as the
-        sequence is processed, so a streaming consumer holds the compact
-        per-sequence metrics but never the pixel data of the whole dataset.
-        The ``start``/``stop`` range is also the process-backend shard unit.
+        Processes sequences ``start..stop`` (default: all) in order.
+        Sequences are independent of each other (network RNG is derived
+        from the global frame index, tracking state lives per sequence), so
+        any range is bitwise identical to the same slice of a whole-dataset
+        walk; the range is also the unit the execution backends spread over
+        their workers.
         """
         if stop is None:
             stop = dataset.n_sequences
@@ -231,8 +187,7 @@ class TimeDynamicPipeline:
                 f"invalid sequence range [{start}, {stop}) for "
                 f"{dataset.n_sequences} sequences"
             )
-        for sequence_index in range(start, stop):
-            yield self._process_sequence(dataset, sequence_index, cache=cache)
+        return [self._process_sequence(dataset, index) for index in range(start, stop)]
 
     # ------------------------------------------------------------------ ---
     def _make_classifier(self, method: str, seed: int) -> MetaClassifier:

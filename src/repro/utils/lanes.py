@@ -9,7 +9,7 @@ rules keep it safe to call from anywhere:
   exhausted it waits only for bands a helper is already running.  A call
   therefore never runs slower than serial by more than the claim overhead,
   even when every helper is busy with other callers' bands (the
-  ``extraction.max_workers`` threads, the serve worker threads).
+  ``thread`` backend's workers, the serve worker threads).
 * **One pool per process.**  The helpers are created lazily on first use,
   ``len(os.sched_getaffinity(0)) - 1`` of them (the caller is the remaining
   lane), and are daemon threads, so they never keep an interpreter alive.

@@ -51,13 +51,14 @@ class TestValidation:
             ("data", {"height": 8}, "at least 32x64"),
             ("data", {"labeled_stride": 0}, "labeled_stride"),
             ("network", {"profile": ""}, "profile name"),
-            ("extraction", {"chunk_size": 0}, "chunk_size"),
-            ("extraction", {"chunk_size": -3}, "chunk_size"),
-            ("extraction", {"max_workers": -1}, "max_workers"),
+            # Removed keys fail by name whatever their value.
+            ("extraction", {"chunk_size": 8}, "chunk_size"),
+            ("extraction", {"chunk_size": None}, "chunk_size"),
+            ("extraction", {"max_workers": 2}, "max_workers"),
             ("extraction", {"connectivity": 6}, "connectivity"),
             ("execution", {"backend": ""}, "backend"),
             ("execution", {"workers": -2}, "workers"),
-            ("execution", {"streaming": "yes"}, "streaming"),
+            ("execution", {"streaming": False}, "streaming"),
             ("execution", {"lease_timeout": 0}, "lease_timeout"),
             ("execution", {"lease_timeout": True}, "lease_timeout"),
             ("execution", {"max_retries": -1}, "max_retries"),
@@ -75,25 +76,13 @@ class TestValidation:
         ],
     )
     def test_section_validation(self, section, kwargs, message):
-        section_types = {
-            "data": DataConfig,
-            "network": NetworkConfig,
-            "extraction": ExtractionConfig,
-            "execution": ExecutionConfig,
-            "meta_models": MetaModelConfig,
-            "evaluation": EvalConfig,
-        }
-        config = ExperimentConfig(**{section: section_types[section](**kwargs)})
         with pytest.raises(ValueError, match=message):
-            config.validate()
+            ExperimentConfig.from_dict({section: kwargs}, validate=False).validate()
 
     def test_serial_worker_counts_are_valid(self):
         """The unified contract: None/0/1 all mean serial and all validate."""
         for workers in (None, 0, 1):
-            ExperimentConfig(
-                extraction=ExtractionConfig(max_workers=workers),
-                execution=ExecutionConfig(workers=workers),
-            ).validate()
+            ExperimentConfig(execution=ExecutionConfig(workers=workers)).validate()
 
 
 class TestParseTimeValidation:
@@ -131,7 +120,7 @@ class TestParseTimeValidation:
 
     def test_valid_execution_section_round_trips(self):
         config = ExperimentConfig.from_dict(
-            {"execution": {"backend": "process", "workers": 4, "streaming": True}}
+            {"execution": {"backend": "process", "workers": 4}}
         )
         assert config.execution.backend == "process"
         rebuilt = ExperimentConfig.from_json(config.to_json())
@@ -152,6 +141,35 @@ class TestParseTimeValidation:
         assert rebuilt.execution.lease_timeout == 0.5
 
 
+class TestRemovedKeys:
+    """Each removed knob fails with a ConfigError naming what replaced it."""
+
+    REMOVED = [
+        ("extraction", "max_workers", 2, "set execution.workers instead"),
+        ("extraction", "chunk_size", 8, "one item per worker"),
+        ("execution", "streaming", True, "one item per worker"),
+    ]
+
+    @pytest.mark.parametrize("section, key, value, replacement", REMOVED)
+    def test_from_dict_names_the_replacement(self, section, key, value, replacement):
+        with pytest.raises(ConfigError, match=f"{section}: {key} was removed; .*{replacement}"):
+            ExperimentConfig.from_dict({section: {key: value}})
+
+    @pytest.mark.parametrize("section, key, value, replacement", REMOVED)
+    def test_sweep_grid_path_names_the_replacement(self, section, key, value, replacement):
+        from repro.sweep import SweepConfig
+
+        with pytest.raises(ConfigError, match=f"{key} was removed; .*{replacement}"):
+            SweepConfig.from_dict(
+                {"name": "removed", "base": {"kind": "metaseg"},
+                 "grid": {f"{section}.{key}": [value]}}
+            )
+
+    def test_removed_fields_are_gone_from_the_dataclasses(self):
+        assert set(ExperimentConfig().to_dict()["extraction"]) == {"connectivity"}
+        assert "streaming" not in ExperimentConfig().to_dict()["execution"]
+
+
 class TestSerialisation:
     def _sample_config(self) -> ExperimentConfig:
         return ExperimentConfig(
@@ -160,7 +178,7 @@ class TestSerialisation:
             seed=17,
             data=DataConfig(dataset="kitti_like", n_sequences=3, n_frames=5),
             network=NetworkConfig(profile="mobilenetv2", overrides={"miss_rate": 0.1}),
-            extraction=ExtractionConfig(chunk_size=4, max_workers=2),
+            extraction=ExtractionConfig(connectivity=4),
             meta_models=MetaModelConfig(
                 classifiers=["gradient_boosting"],
                 regressors=["gradient_boosting"],

@@ -1,31 +1,32 @@
-"""Tests for repro.api.execution: backends, sharding and streaming.
+"""Tests for repro.api.execution: the one range walk and its transports.
 
-The acceptance criterion of the execution layer is absolute: every backend
-(``serial`` / ``thread`` / ``process``) and the streaming aggregation path
-produce **bitwise identical** reports on all three experiment kinds.  The
-parity tests below follow the PR-1 fuzz-harness style — seeded cases, exact
-(float-equal) table comparison — and the memory test pins the streaming
-path's O(chunk) claim with ``tracemalloc``.
+The acceptance criterion of the execution layer is absolute: every
+transport (``serial`` / ``thread`` / ``process`` / ``distributed``), worker
+count and store setting produces **bitwise identical** reports on all three
+experiment kinds.  The parity tests below are seeded cases with exact
+(float-equal) table comparison; the memory test pins, with ``tracemalloc``,
+that the walk streams its items by index instead of materialising a split.
 """
 
 from __future__ import annotations
 
 import gc
+import json
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.__main__ import main
-from repro.api.config import ConfigError, ExecutionConfig, ExperimentConfig
+from repro.api.config import ExecutionConfig, ExperimentConfig
 from repro.api.execution import ProcessBackend, SerialBackend, ThreadBackend, shard_ranges
+from repro.api.kinds import KINDS, build_metaseg_pipeline
 from repro.api.registry import EXECUTION_BACKENDS, RegistryError
 from repro.api.runner import Runner
-from repro.core.dataset import MetricsAccumulator, MetricsDataset
-from repro.core.pipeline import MetaSegPipeline
-from repro.segmentation.datasets import CityscapesLikeDataset
-from repro.segmentation.network import SimulatedSegmentationNetwork, mobilenetv2_profile
-from repro.segmentation.scene import SceneConfig
+from repro.dispatch.backend import DistributedBackend
+from repro.dispatch.worker import WORKER_ENV
+from repro.store import ResultStore
 
 TINY_HEIGHT = 48
 TINY_WIDTH = 96
@@ -73,10 +74,10 @@ PAYLOADS = {
 VARIANTS = (
     {"backend": "thread", "workers": 2},
     {"backend": "process", "workers": 2},
-    {"backend": "serial", "streaming": True},
-    {"backend": "thread", "workers": 2, "streaming": True},
-    {"backend": "process", "workers": 2, "streaming": True},
+    {"backend": "distributed", "workers": 2},
 )
+
+TRANSPORTS = ("serial", "thread", "process", "distributed")
 
 
 def run_with_execution(payload: dict, execution: dict):
@@ -129,7 +130,7 @@ def serial_reports():
 
 
 class TestBackendParity:
-    """process / thread / streaming == serial, bitwise, on all three kinds."""
+    """thread / process / distributed == serial, bitwise, on all three kinds."""
 
     @pytest.mark.parametrize("execution", VARIANTS, ids=lambda e: "-".join(
         f"{k}={v}" for k, v in e.items()))
@@ -153,9 +154,56 @@ class TestBackendParity:
         assert_reports_identical(sharded, serial, "metaseg/3-shards")
 
 
+class TestTransportMatrix:
+    """Every transport x kind x worker count x store setting == serial."""
+
+    @pytest.mark.parametrize("backend", TRANSPORTS)
+    @pytest.mark.parametrize("kind", sorted(PAYLOADS))
+    def test_matches_serial_with_and_without_store(self, kind, backend, serial_reports, tmp_path):
+        for workers in (1, 2, 3):
+            for use_store in (False, True):
+                store = ResultStore(tmp_path / f"{workers}") if use_store else None
+                execution = {"backend": backend, "workers": workers}
+                config = {**PAYLOADS[kind](3), "execution": execution}
+                context = f"{kind}/{backend}/workers={workers}/store={use_store}"
+                cold = Runner(store=store).run(config)
+                assert_reports_identical(cold, serial_reports[kind], context)
+                if store is not None:
+                    warm = Runner(store=store).run(config)
+                    assert warm.cache["hit"] is True
+                    assert warm.to_json() == cold.to_json()
+
+    @pytest.mark.parametrize("backend", TRANSPORTS)
+    def test_fit_state_matches_serial(self, backend):
+        payload = metaseg_payload(3)
+        reference = Runner().fit(payload).to_state()
+        for workers in (2, 3):
+            config = {**payload, "execution": {"backend": backend, "workers": workers}}
+            assert Runner().fit(config).to_state() == reference, f"{backend}/{workers}"
+
+    @pytest.mark.parametrize("backend", ("thread", "process", "distributed"))
+    def test_shard_cache_is_shared_across_transports(self, backend, tmp_path):
+        store = ResultStore(tmp_path)
+        execution = {"backend": "thread", "workers": 2}
+        cold = Runner(store=store).run({**metaseg_payload(3), "execution": execution})
+        assert cold.cache["shards"] == {"hits": 0, "misses": 2}
+        # A protocol-side change misses the report but hits both ranges,
+        # whichever transport published them.
+        payload = metaseg_payload(3)
+        payload["evaluation"] = {"n_runs": 3}
+        warm = Runner(store=store).run(
+            {**payload, "execution": {"backend": backend, "workers": 2}}
+        )
+        assert warm.cache["hit"] is False
+        assert warm.cache["shards"] == {"hits": 2, "misses": 0}
+
+
 @pytest.mark.fuzz
 class TestBackendParityFuzz:
-    """Extended seeded sweep (select with ``-m fuzz``, run by scripts/ci.sh)."""
+    """Extended seeded sweep (select with ``-m fuzz``, run by scripts/ci.sh).
+
+    Every transport walks its items by index, uncached (the streaming walk).
+    """
 
     @pytest.mark.parametrize("seed", [1, 9, 23])
     @pytest.mark.parametrize("kind", sorted(PAYLOADS))
@@ -164,7 +212,7 @@ class TestBackendParityFuzz:
         for execution in (
             {"backend": "process", "workers": 2},
             {"backend": "thread", "workers": 3},
-            {"backend": "serial", "streaming": True},
+            {"backend": "distributed", "workers": 2},
         ):
             report = run_with_execution(PAYLOADS[kind](seed), execution)
             assert_reports_identical(report, serial, f"{kind}/seed{seed}/{execution}")
@@ -173,7 +221,7 @@ class TestBackendParityFuzz:
 # ------------------------------------------------------- backend semantics --
 class TestBackendSemantics:
     def test_builtin_backends_registered(self):
-        assert {"serial", "thread", "process"} <= set(EXECUTION_BACKENDS.available())
+        assert set(TRANSPORTS) <= set(EXECUTION_BACKENDS.available())
 
     def test_unknown_backend_fails_fast_at_resolve(self):
         config = ExperimentConfig.from_dict(
@@ -190,29 +238,62 @@ class TestBackendSemantics:
             assert_reports_identical(report, serial_reports["metaseg"], f"workers={workers}")
 
     def test_backend_factories_honour_worker_contract(self):
-        assert SerialBackend(ExecutionConfig())._pipeline_workers() is None
-        assert ThreadBackend(ExecutionConfig(workers=3))._pipeline_workers() == 3
-        assert ProcessBackend(ExecutionConfig(workers=5)).default_workers() == 5
+        # execution.workers is the one knob; serial always runs one range.
+        assert SerialBackend(ExecutionConfig(workers=4)).workers == 1
+        assert ThreadBackend(ExecutionConfig(workers=3)).workers == 3
+        assert ProcessBackend(ExecutionConfig(workers=5)).workers == 5
+        assert DistributedBackend(ExecutionConfig(workers=2)).workers == 2
         with pytest.raises(ValueError, match="max_workers"):
             SerialBackend(ExecutionConfig(workers=-1))
 
     def test_explicit_zero_and_one_workers_never_fan_out(self):
-        # Explicit 0/1 mean serial — they must NOT fall back to cpu_count.
-        for backend_cls in (SerialBackend, ThreadBackend, ProcessBackend):
+        # Explicit 0/1 mean serial — they must NOT fall back to the core count.
+        for backend_cls in (SerialBackend, ThreadBackend, ProcessBackend, DistributedBackend):
             for workers in (0, 1):
-                assert backend_cls(ExecutionConfig(workers=workers)).default_workers() == 1
+                assert backend_cls(ExecutionConfig(workers=workers)).workers == 1
+
+    def test_default_workers_follow_the_affinity_mask(self, monkeypatch):
+        # workers=None means every core this process may run on, not
+        # os.cpu_count(): under an affinity mask the latter oversubscribes.
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        monkeypatch.setattr("os.cpu_count", lambda: 64)
+        for backend_cls in (ThreadBackend, ProcessBackend, DistributedBackend):
+            assert backend_cls(ExecutionConfig()).workers == 3
+        assert SerialBackend(ExecutionConfig()).workers == 1
+
+    def test_dispatch_worker_never_fans_out_again(self, monkeypatch):
+        monkeypatch.setenv(WORKER_ENV, "1")
+        for backend_cls in (ThreadBackend, ProcessBackend, DistributedBackend):
+            assert backend_cls(ExecutionConfig(workers=4)).workers == 1
 
     def test_sharded_size_errors_distinguish_capability_from_emptiness(self):
         class NoIndexAccess:
-            pass
+            n_train = 2
+            n_val = 3
 
-        with pytest.raises(ValueError, match="use backend 'serial' or 'thread'"):
-            ProcessBackend._sharded_workload_size(NoIndexAccess(), "n_val")
+        resolved = SimpleNamespace(dataset=NoIndexAccess())
+        for kind in ("metaseg", "decision"):
+            with pytest.raises(ValueError, match="walks index ranges"):
+                KINDS[kind].size(resolved)
+        indexed_but_empty = SimpleNamespace(n_val=0, val_sample=lambda index: None)
+        with pytest.raises(ValueError, match="n_val >= 1"):
+            KINDS["metaseg"].size(SimpleNamespace(dataset=indexed_but_empty))
+
+    def test_fold_rejects_ranges_that_drop_or_duplicate_items(self):
+        with pytest.raises(RuntimeError, match="folded 1 sequences"):
+            KINDS["timedynamic"].fold(None, [["only-one"]], 2, None)
+        config = ExperimentConfig.from_dict(metaseg_payload(0))
+        resolved = Runner().resolve(config)
+        kind = KINDS["metaseg"]
+        # Image 2 is missing from the ranges.
+        partials = [kind.run_range(resolved, 0, 2, None), kind.run_range(resolved, 3, 5, None)]
+        with pytest.raises(RuntimeError, match="folded 4 images"):
+            kind.fold(resolved, partials, 5, None)
 
     def test_empty_decision_train_split_is_a_config_error_everywhere(self):
         payload = decision_payload(0)
         payload["data"]["n_train"] = 0
-        for execution in ({"backend": "serial"}, {"backend": "serial", "streaming": True},
+        for execution in ({"backend": "serial"}, {"backend": "thread", "workers": 2},
                           {"backend": "process", "workers": 2}):
             with pytest.raises(ValueError, match="data.n_train >= 1"):
                 run_with_execution(payload, execution)
@@ -221,101 +302,60 @@ class TestBackendSemantics:
         payload = metaseg_payload(0)
         payload["data"]["n_val"] = 0
         for execution in ({"backend": "serial"}, {"backend": "process", "workers": 2},
-                          {"backend": "serial", "streaming": True}):
+                          {"backend": "thread", "workers": 2}):
             with pytest.raises(ValueError, match="n_val >= 1"):
                 run_with_execution(payload, execution)
 
 
-# ----------------------------------------------------- MetricsAccumulator --
-class TestMetricsAccumulator:
-    def test_fold_matches_concatenate(self, metaseg_pipeline, cityscapes_like):
-        samples = cityscapes_like.val_samples()
-        chunks = list(metaseg_pipeline.iter_extract_batched(samples, chunk_size=2))
-        accumulator = MetricsAccumulator()
-        for chunk in chunks:
-            accumulator.add(chunk)
-        folded = accumulator.result()
-        reference = MetricsDataset.concatenate(chunks)
-        np.testing.assert_array_equal(folded.features, reference.features)
-        np.testing.assert_array_equal(folded.segment_ids, reference.segment_ids)
-        np.testing.assert_array_equal(folded.class_ids, reference.class_ids)
-        assert list(folded.image_ids) == list(reference.image_ids)
-        np.testing.assert_array_equal(folded.target_iou(), reference.target_iou())
-
-    def test_empty_accumulator_rejected(self):
-        with pytest.raises(ValueError, match="no chunks"):
-            MetricsAccumulator().result()
-
-    def test_mismatched_columns_rejected(self, metrics_dataset):
-        accumulator = MetricsAccumulator()
-        accumulator.add(metrics_dataset)
-        renamed = MetricsDataset(
-            features=metrics_dataset.features,
-            feature_names=[f"x_{name}" for name in metrics_dataset.feature_names],
-            segment_ids=metrics_dataset.segment_ids,
-            class_ids=metrics_dataset.class_ids,
-            image_ids=metrics_dataset.image_ids,
-            iou=metrics_dataset.iou,
-        )
-        with pytest.raises(ValueError, match="differing feature columns"):
-            accumulator.add(renamed)
-
-
 # ------------------------------------------------------------- peak memory --
 class TestStreamingPeakMemory:
-    """The streaming path's O(chunk) claim, pinned with tracemalloc."""
+    """The walk streams its items by index; pinned with tracemalloc."""
 
     N_VAL = 24
-    CHUNK = 4
 
-    def _workload(self):
-        dataset = CityscapesLikeDataset(
-            n_train=0, n_val=self.N_VAL,
-            scene_config=SceneConfig(height=TINY_HEIGHT, width=TINY_WIDTH),
-            random_state=11,
-        )
-        network = SimulatedSegmentationNetwork(mobilenetv2_profile(), random_state=7)
-        return dataset, MetaSegPipeline(network)
+    def _resolved(self):
+        return Runner().resolve(ExperimentConfig.from_dict({
+            "kind": "metaseg", "seed": 11,
+            "data": {"dataset": "cityscapes_like", "n_val": self.N_VAL,
+                     "height": TINY_HEIGHT, "width": TINY_WIDTH},
+        }))
 
     def test_streaming_peak_below_batched_peak(self):
         # Warm up allocator caches / lazy imports outside the measurement.
-        dataset, pipeline = self._workload()
-        pipeline.extract_dataset_batched(dataset.val_samples()[:2])
+        resolved = self._resolved()
+        build_metaseg_pipeline(resolved).extract_dataset(resolved.dataset.val_samples()[:2])
 
         gc.collect()
-        dataset, pipeline = self._workload()
+        resolved = self._resolved()
         tracemalloc.start()
-        batched = pipeline.extract_dataset_batched(dataset.val_samples())
+        batched = build_metaseg_pipeline(resolved).extract_dataset(resolved.dataset.val_samples())
         peak_batched = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
 
         gc.collect()
-        dataset, pipeline = self._workload()
+        resolved = self._resolved()
         tracemalloc.start()
-        streamed = pipeline.extract_dataset_streaming(
-            dataset.iter_val(cache=False), chunk_size=self.CHUNK
-        )
-        peak_streaming = tracemalloc.get_traced_memory()[1]
+        walked, n_images = SerialBackend(ExecutionConfig()).walk(KINDS["metaseg"], resolved)
+        peak_walk = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
 
         # Same numbers ...
-        np.testing.assert_array_equal(streamed.features, batched.features)
-        np.testing.assert_array_equal(streamed.target_iou(), batched.target_iou())
-        # ... at measurably lower peak memory: the batched walk holds the
-        # full sample list + per-image parts, the streaming walk only one
-        # chunk plus the output buffers.  Measured ~0.73x; gated at 0.95x so
-        # allocator/platform variance on the small workload cannot flake the
-        # tier-1 suite while a real regression (>= 1x) still fails clearly.
-        assert peak_streaming < 0.95 * peak_batched, (
-            f"streaming peak {peak_streaming} not below batched peak {peak_batched}"
+        assert n_images == self.N_VAL
+        np.testing.assert_array_equal(walked.features, batched.features)
+        np.testing.assert_array_equal(walked.target_iou(), batched.target_iou())
+        # ... at measurably lower peak memory: materialising the split holds
+        # every sample, the walk only the one it is extracting plus the
+        # per-image rows.  Gated at 0.95x so allocator/platform variance on
+        # the small workload cannot flake the tier-1 suite while a real
+        # regression (>= 1x) still fails clearly.
+        assert peak_walk < 0.95 * peak_batched, (
+            f"walk peak {peak_walk} not below materialised peak {peak_batched}"
         )
 
 
 # ------------------------------------------------------------------- CLI --
 class TestCliExecutionOverrides:
     def _write(self, tmp_path, payload):
-        import json
-
         path = tmp_path / "config.json"
         path.write_text(json.dumps(payload))
         return path
@@ -327,11 +367,9 @@ class TestCliExecutionOverrides:
         assert main(["run", str(path), "--output", str(serial_out)]) == 0
         assert main([
             "run", str(path), "--backend", "process", "--workers", "2",
-            "--streaming", "--output", str(sharded_out),
+            "--output", str(sharded_out),
         ]) == 0
         capsys.readouterr()
-        import json
-
         serial = json.loads(serial_out.read_text())
         sharded = json.loads(sharded_out.read_text())
         # Tables and provenance are bitwise equal; only the config echo may
@@ -340,16 +378,20 @@ class TestCliExecutionOverrides:
         assert sharded["provenance"] == serial["provenance"]
         assert sharded["config"]["execution"]["backend"] == "process"
 
-    def test_no_streaming_overrides_config(self, tmp_path, capsys):
-        payload = metaseg_payload(3)
-        payload["execution"] = {"backend": "serial", "streaming": True}
-        path = self._write(tmp_path, payload)
-        out = tmp_path / "report.json"
-        assert main(["run", str(path), "--no-streaming", "--output", str(out)]) == 0
-        capsys.readouterr()
-        import json
+    @pytest.mark.parametrize("command", ["run", "trace", "sweep"])
+    def test_streaming_flag_is_gone(self, tmp_path, capsys, command):
+        path = self._write(tmp_path, metaseg_payload(3))
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, str(path), "--streaming"])
+        assert exit_info.value.code == 2
+        assert "--streaming" in capsys.readouterr().err
 
-        assert json.loads(out.read_text())["config"]["execution"]["streaming"] is False
+    def test_removed_keys_in_a_config_file_exit_2(self, tmp_path, capsys):
+        payload = metaseg_payload(3)
+        payload["extraction"] = {"max_workers": 2}
+        assert main(["run", str(self._write(tmp_path, payload))]) == 2
+        err = capsys.readouterr().err
+        assert "extraction: max_workers was removed" in err and "execution.workers" in err
 
     def test_unknown_backend_exits_2(self, tmp_path, capsys):
         path = self._write(tmp_path, metaseg_payload(0))
@@ -369,8 +411,6 @@ class TestCliExecutionOverrides:
         out = tmp_path / "report.json"
         assert main(["run", str(path), "--workers", "2", "--output", str(out)]) == 0
         capsys.readouterr()
-        import json
-
         assert json.loads(out.read_text())["config"]["execution"]["workers"] == 2
 
     def test_negative_workers_in_config_exit_2(self, tmp_path, capsys):

@@ -14,8 +14,8 @@ from repro.__main__ import main
 from repro.api.config import (
     DataConfig,
     EvalConfig,
+    ExecutionConfig,
     ExperimentConfig,
-    ExtractionConfig,
     MetaModelConfig,
     NetworkConfig,
 )
@@ -30,14 +30,14 @@ TINY_HEIGHT = 48
 TINY_WIDTH = 96
 
 
-def metaseg_config(seed: int = 9, max_workers=None) -> ExperimentConfig:
+def metaseg_config(seed: int = 9, workers=None, backend="serial") -> ExperimentConfig:
     return ExperimentConfig(
         kind="metaseg",
         name="tiny",
         seed=seed,
         data=DataConfig(dataset="cityscapes_like", n_val=4,
                         height=TINY_HEIGHT, width=TINY_WIDTH),
-        extraction=ExtractionConfig(max_workers=max_workers),
+        execution=ExecutionConfig(backend=backend, workers=workers),
         evaluation=EvalConfig(n_runs=2),
     )
 
@@ -136,8 +136,8 @@ class TestRunnerMetaseg:
 
     def test_parallel_extraction_bit_identical(self, metaseg_report):
         # Only the config echo may differ; tables and provenance are bitwise
-        # equal because parallel extraction is order-preserving.
-        parallel = Runner().run(metaseg_config(max_workers=4))
+        # equal because the range fold is order-preserving.
+        parallel = Runner().run(metaseg_config(workers=4, backend="thread"))
         assert parallel.tables == metaseg_report.tables
         assert parallel.provenance == metaseg_report.provenance
 

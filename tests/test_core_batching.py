@@ -1,32 +1,20 @@
-"""Tests for the shared batched execution layer and the batched pipelines."""
+"""Tests for the shared execution helpers and the pipelines' range walks.
+
+Every pipeline walk is a range ``start..stop`` of independent items; the
+tests pin that folding any split of a dataset into ranges is bit-identical
+to one whole-dataset walk.
+"""
 
 from __future__ import annotations
+
+from itertools import chain
 
 import numpy as np
 import pytest
 
-from repro.core.batching import chunked, map_ordered, normalize_max_workers
-
-
-class TestChunked:
-    def test_even_chunks(self):
-        assert list(chunked(range(6), 2)) == [[0, 1], [2, 3], [4, 5]]
-
-    def test_remainder_chunk(self):
-        assert list(chunked(range(5), 2)) == [[0, 1], [2, 3], [4]]
-
-    def test_empty_iterable(self):
-        assert list(chunked([], 3)) == []
-
-    def test_lazy_iterable(self):
-        def gen():
-            yield from range(4)
-
-        assert list(chunked(gen(), 3)) == [[0, 1, 2], [3]]
-
-    def test_invalid_chunk_size(self):
-        with pytest.raises(ValueError):
-            list(chunked(range(3), 0))
+from repro.api.execution import shard_ranges
+from repro.core.batching import map_ordered, normalize_max_workers
+from repro.core.dataset import MetricsDataset
 
 
 class TestMapOrdered:
@@ -88,32 +76,39 @@ class TestBatchedExtraction:
     def test_batched_matches_serial(self, metaseg_pipeline, cityscapes_like):
         samples = cityscapes_like.val_samples()
         serial = metaseg_pipeline.extract_dataset(samples)
-        for chunk_size, max_workers in ((1, None), (3, None), (2, 2), (8, 4)):
-            batched = metaseg_pipeline.extract_dataset_batched(
-                samples, chunk_size=chunk_size, max_workers=max_workers
-            )
-            _assert_datasets_identical(serial, batched)
+        for n_ranges in (1, 2, 3, len(samples)):
+            parts = [
+                metaseg_pipeline.extract_dataset(samples[start:stop], index_offset=start)
+                for start, stop in shard_ranges(len(samples), n_ranges)
+            ]
+            _assert_datasets_identical(serial, MetricsDataset.concatenate(parts))
 
     def test_streaming_parts_respect_chunk_size(self, metaseg_pipeline, cityscapes_like):
+        # A lazy stream is consumed item by item; each range's part holds
+        # exactly the images of its range, in order.
         samples = cityscapes_like.val_samples()
-        parts = list(metaseg_pipeline.iter_extract_batched(samples, chunk_size=3))
-        assert len(parts) == (len(samples) + 2) // 3
-        images_per_part = [len(set(part.image_ids)) for part in parts]
-        assert images_per_part == [3] * (len(samples) // 3) + (
-            [len(samples) % 3] if len(samples) % 3 else []
-        )
+        for start, stop in shard_ranges(len(samples), 3):
+            part = metaseg_pipeline.extract_dataset(
+                iter(samples[start:stop]), index_offset=start
+            )
+            assert list(dict.fromkeys(part.image_ids)) == [
+                sample.image_id for sample in samples[start:stop]
+            ]
 
     def test_index_offset_is_respected(self, metaseg_pipeline, cityscapes_like):
-        samples = cityscapes_like.val_samples()[:2]
-        offset = metaseg_pipeline.extract_dataset(samples, index_offset=5)
-        batched = metaseg_pipeline.extract_dataset_batched(
-            samples, index_offset=5, chunk_size=1, max_workers=2
+        samples = cityscapes_like.val_samples()
+        offset = metaseg_pipeline.extract_dataset(samples[:2], index_offset=5)
+        shifted = metaseg_pipeline.extract_dataset(samples[:2])
+        assert not np.array_equal(offset.features, shifted.features)
+        whole = metaseg_pipeline.extract_dataset(samples)
+        tail = metaseg_pipeline.extract_dataset(samples[2:], index_offset=2)
+        _assert_datasets_identical(
+            tail, whole.subset(np.nonzero(np.isin(whole.image_ids, tail.image_ids))[0])
         )
-        _assert_datasets_identical(offset, batched)
 
     def test_no_samples_raises(self, metaseg_pipeline):
         with pytest.raises(ValueError):
-            metaseg_pipeline.extract_dataset_batched([])
+            metaseg_pipeline.extract_dataset([])
 
 
 class TestBatchedDecisionCompare:
@@ -124,7 +119,15 @@ class TestBatchedDecisionCompare:
         comparison.fit_priors(cityscapes_like.train_samples())
         samples = cityscapes_like.val_samples()
         serial = comparison.compare(samples)
-        parallel = comparison.compare(samples, max_workers=4)
+        ranges = map_ordered(
+            lambda bounds: list(comparison.iter_compare_samples(
+                samples[bounds[0]:bounds[1]], index_offset=bounds[0]
+            )),
+            shard_ranges(len(samples), 3),
+            max_workers=3,
+        )
+        parallel, n_samples = comparison.fold_compare_results(chain.from_iterable(ranges))
+        assert n_samples == len(samples)
         for rule in serial.per_rule:
             assert (
                 serial.per_rule[rule].precision_values
@@ -146,7 +149,11 @@ class TestBatchedTimeDynamic:
 
         pipeline = TimeDynamicPipeline(mobilenet_network, xception_network)
         serial = pipeline.process_dataset(kitti_like)
-        parallel = pipeline.process_dataset(kitti_like, max_workers=2)
+        parallel = list(chain.from_iterable(map_ordered(
+            lambda bounds: pipeline.process_dataset(kitti_like, *bounds),
+            shard_ranges(kitti_like.n_sequences, 2),
+            max_workers=2,
+        )))
         assert len(serial) == len(parallel)
         for left, right in zip(serial, parallel):
             assert left.sequence_id == right.sequence_id
@@ -160,3 +167,10 @@ class TestBatchedTimeDynamic:
                     np.testing.assert_array_equal(
                         frame_left.dataset.target_iou(), frame_right.dataset.target_iou()
                     )
+
+    def test_invalid_sequence_range_rejected(self, kitti_like, mobilenet_network, xception_network):
+        from repro.timedynamic.pipeline import TimeDynamicPipeline
+
+        pipeline = TimeDynamicPipeline(mobilenet_network, xception_network)
+        with pytest.raises(ValueError, match="invalid sequence range"):
+            pipeline.process_dataset(kitti_like, 1, kitti_like.n_sequences + 1)
